@@ -10,17 +10,14 @@
                                          [--cell-timeout S] [--retries N]
                                          [--max-failures N]
                                          [--sim-backend {event,batched}]
-                                         [--cascade]
     python -m repro.experiments run scenarios/flash_crowd.json [...]
     python -m repro.experiments sweep fig9 --populations 50,100,200
                                          [--think-times 0.5,1.0]
                                          [--solvers ctmc,mva] [--tier TIER]
-                                         [--sim-backend {event,batched}]
-                                         [--cascade] [...]
+                                         [--sim-backend {event,batched}] [...]
     python -m repro.experiments export table1 [--format csv] [--output FILE]
                                          [--artifacts DIR] [--cache-dir DIR]
                                          [--sim-backend {event,batched}]
-                                         [--cascade]
     python -m repro.experiments cache ls [--cache-dir DIR]
     python -m repro.experiments cache rm <scenario> [--cache-dir DIR]
     python -m repro.experiments cache gc [--max-age-days D] [--cache-dir DIR]
@@ -55,13 +52,7 @@ engine (one derived scenario per requested think time).  ``--sim-backend``
 exact-CTMC tier; the override is stored in the solver options (so it
 participates in the spec hash) and the derived scenario name grows a
 ``-{backend}`` suffix so its cache entries stay legible and are never
-gc-swept as stale versions of the registered scenario.  ``--cascade`` (on
-``run``, ``sweep`` and ``export``) enables cascadic coarse-to-fine warm
-starts for every exact-CTMC solver: matrix-free cells first solve a ladder
-of smaller populations (``N/4``, ``N/2``) and embed each distribution as the
-next initial guess; the override lives in the solver options (spec-hashed)
-and the name grows a ``-cascade`` suffix, exactly like ``--sim-backend``.
-``export`` pulls a
+gc-swept as stale versions of the registered scenario.  ``export`` pulls a
 *cached* run straight to CSV without re-solving anything: the scalar-metrics
 table on stdout or ``--output``, and with ``--artifacts DIR`` one CSV per
 artifact-bearing cell (e.g. the Table-1 response-time distributions).
@@ -157,7 +148,6 @@ from repro.simulation.batched import SIM_BACKENDS
 __all__ = [
     "main",
     "format_table",
-    "apply_cascade",
     "apply_sim_backend",
     "build_sweep_spec",
 ]
@@ -332,14 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="force the simulation kernel of every simulation solver "
         "(default: the solver's own sim_backend option, else the event loop)",
     )
-    run.add_argument(
-        "--cascade",
-        action="store_true",
-        help="cascadic warm starts for every exact-CTMC solver: matrix-free "
-        "cells first solve N/4 and N/2 and embed each distribution as the "
-        "next initial guess (stored in the solver options, so it is part of "
-        "the spec hash)",
-    )
     _add_runner_arguments(run)
 
     sweep = commands.add_parser(
@@ -380,12 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="force the simulation kernel of every simulation solver "
         "(default: the solver's own sim_backend option, else the event loop)",
     )
-    sweep.add_argument(
-        "--cascade",
-        action="store_true",
-        help="cascadic warm starts for every exact-CTMC solver "
-        "(see `run --cascade`)",
-    )
     _add_runner_arguments(sweep)
 
     export = commands.add_parser(
@@ -401,12 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="export the cache entry of the backend-overridden run "
         "(the same derived spec `run --sim-backend` caches under)",
-    )
-    export.add_argument(
-        "--cascade",
-        action="store_true",
-        help="export the cache entry of the cascade-overridden run "
-        "(the same derived spec `run --cascade` caches under)",
     )
     export.add_argument(
         "--output", default=None, help="metrics CSV path (default: stdout)"
@@ -743,36 +713,10 @@ def apply_sim_backend(spec: ScenarioSpec, backend: str) -> ScenarioSpec:
     return replace(spec, name=f"{spec.name}-{backend}", solvers=solvers)
 
 
-def apply_cascade(spec: ScenarioSpec) -> ScenarioSpec:
-    """Enable cascadic warm starts for every ``ctmc`` solver.
-
-    Sets ``{"cascade": true}`` in the solver options — so the override
-    participates in the spec content hash and a cascaded run never collides
-    with a cold one in the cache — and grows a ``-cascade`` name suffix for
-    legibility, mirroring :func:`apply_sim_backend`.  Raises
-    :class:`ValueError` when the scenario has no ``ctmc`` solver — the flag
-    would silently do nothing.
-    """
-    if not any(solver.kind == "ctmc" for solver in spec.solvers):
-        raise ValueError(
-            f"scenario {spec.name!r} has no ctmc solver; --cascade would "
-            "have no effect"
-        )
-    solvers = tuple(
-        replace(solver, options={**solver.options, "cascade": True})
-        if solver.kind == "ctmc"
-        else solver
-        for solver in spec.solvers
-    )
-    return replace(spec, name=f"{spec.name}-cascade", solvers=solvers)
-
-
 def _cmd_run(args, spec) -> int:
     try:
         if args.sim_backend is not None:
             spec = apply_sim_backend(spec, args.sim_backend)
-        if args.cascade:
-            spec = apply_cascade(spec)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -876,8 +820,6 @@ def _cmd_sweep(args, base: ScenarioSpec) -> int:
         ]
         if args.sim_backend is not None:
             specs = [apply_sim_backend(spec, args.sim_backend) for spec in specs]
-        if args.cascade:
-            specs = [apply_cascade(spec) for spec in specs]
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -983,8 +925,6 @@ def _cmd_export(args, spec) -> int:
     try:
         if args.sim_backend is not None:
             spec = apply_sim_backend(spec, args.sim_backend)
-        if args.cascade:
-            spec = apply_cascade(spec)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ Preconditioning comes in two layers:
   damp.  The phase-preserving coarse space is what keeps the Krylov
   iteration count flat in the population (~20 from N=200 to N=1500); the
   earlier one-shot ILU of the *phase-aggregated* lattice left it growing
-  ~N^0.6.  ``TwoLevelPreconditioner`` remains as an alias of the class.
+  ~N^0.6.
 
 The family matrices depend only on the two service MAPs, so
 :meth:`repro.queueing.kron.KronGeneratorAssembler.operator` hands each new
@@ -69,7 +69,6 @@ __all__ = [
     "MatrixFreeGenerator",
     "LevelSweepPreconditioner",
     "MultilevelPreconditioner",
-    "TwoLevelPreconditioner",
     "PRECONDITIONER_MODES",
     "THREADS_ENV_VAR",
     "solver_thread_count",
@@ -563,8 +562,3 @@ class MultilevelPreconditioner:
         n = self.operator.num_states
         return sparse_linalg.LinearOperator((n, n), matvec=self.solve, dtype=float)
 
-
-#: Historical name of the production preconditioner, kept so existing
-#: imports and ``isinstance`` checks keep working across the multilevel
-#: refactor (the class used to pair the sweeps with a single coarse level).
-TwoLevelPreconditioner = MultilevelPreconditioner

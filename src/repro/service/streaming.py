@@ -64,6 +64,9 @@ RECORD_BYTES = 16
 
 _RECORD_DTYPE = np.dtype("<i8")
 
+#: Largest single read from a non-seekable trace source (bytes).
+_FIFO_READ_BYTES = 1 << 20
+
 
 # ----------------------------------------------------------------------
 # Reading and writing
@@ -110,10 +113,25 @@ def read_trace_chunk(
         raise ValueError("offset_events must be non-negative")
     if max_events < 1:
         raise ValueError("max_events must be >= 1")
+    # ``read(n)`` allocates n bytes up front, so never ask for more than the
+    # source can hold: a regular file is clamped to its remaining bytes, a
+    # FIFO is read in bounded pieces until EOF or the record budget.
+    remaining = max_events * RECORD_BYTES
     with open(path, "rb") as stream:
         if stream.seekable():
-            stream.seek(offset_events * RECORD_BYTES)
-        data = stream.read(max_events * RECORD_BYTES)
+            start = offset_events * RECORD_BYTES
+            stream.seek(start)
+            remaining = max(0, min(remaining, os.fstat(stream.fileno()).st_size - start))
+            data = stream.read(remaining)
+        else:
+            pieces = []
+            while remaining > 0:
+                piece = stream.read(min(remaining, _FIFO_READ_BYTES))
+                if not piece:
+                    break
+                pieces.append(piece)
+                remaining -= len(piece)
+            data = b"".join(pieces)
     usable = (len(data) // RECORD_BYTES) * RECORD_BYTES
     if usable == 0:
         return np.empty((0, 2), dtype=np.int64), offset_events

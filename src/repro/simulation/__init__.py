@@ -10,12 +10,12 @@
   the abstract closed network of Figure 9 (delay station plus two servers
   whose service processes are MAPs), used to cross-validate the analytical
   solver,
-* :mod:`~repro.simulation.batched` — a vectorized kernel that advances every
-  replication of that network in lockstep as numpy arrays (the ``batched``
-  simulation backend of the experiment engine),
-* :mod:`~repro.simulation.timevarying` — scalar and batched jump-chain
-  kernels for *time-varying* timelines (diurnal curves, flash crowds,
-  regime-switching MAPs), with per-segment statistics,
+* :mod:`~repro.simulation.timevarying` — the scalar kernel for
+  *time-varying* timelines (diurnal curves, flash crowds, regime-switching
+  MAPs, outages), with per-segment statistics,
+* :mod:`~repro.simulation.batched` — the one vectorized kernel that advances
+  every replication in lockstep as numpy arrays, for static networks (a
+  one-segment timeline) and timelines alike (the ``batched`` backend),
 * :mod:`~repro.simulation.random_streams` — seeded random-stream management.
 """
 

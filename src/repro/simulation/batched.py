@@ -1,83 +1,84 @@
-"""Vectorized batched-replication simulator of the closed MAP network.
+"""The batched lockstep simulator of the closed MAP network.
 
-One numpy kernel advances **all R replications of a cell in lockstep**: the
-per-replication network state is four small integers — ``(n_front, n_db,
-front_phase, db_phase)`` — so the whole batch lives in a handful of length-R
-arrays and every simulation step is a fixed sequence of array operations
-instead of per-event Python dispatch.  The kernel simulates exactly the same
-continuous-time Markov chain as the scalar event loop in
-:mod:`repro.simulation.closed_network` (think → front → database → think,
-service MAPs frozen while their server is idle), so its estimates agree with
-the scalar kernel and the exact CTMC solution within statistical error
-(asserted by the cross-validation suite).
+One numpy kernel, :func:`simulate_segments_batch`, advances **all R
+replications in lockstep** over a timeline of
+:class:`~repro.queueing.transient.NetworkSegment` entries.  The
+per-replication state is a few small integers — ``(n_front, n_db,
+front_phase, db_phase)`` plus the current segment — so the batch lives in
+length-R arrays and every step is a fixed sequence of array operations
+instead of per-event Python dispatch.  :func:`simulate_closed_map_network_batch`
+runs a static network as a one-segment timeline;
+:func:`~repro.simulation.timevarying.simulate_timevarying_closed_map_network_batch`
+runs a timeline (segment semantics — regime switches, population changes,
+outages — are documented in :mod:`repro.simulation.timevarying`).  The
+kernel simulates the same continuous-time Markov chain as the scalar
+kernels, so estimates agree with them and with the exact CTMC solution
+within statistical error (asserted by the cross-validation suite).
 
 Why the jump chain, not uniformization
 --------------------------------------
-The issue that motivated this kernel suggested uniformizing with a global
-rate ``Λ = N/Z + max exit rates``.  For the bursty MAPs this repository is
-about, that is exactly the wrong regime: a fitted MAP(2) spends most of its
-time in a slow phase whose exit rate is an order of magnitude below the fast
-phase's, so a global-``Λ`` clock spends 70–85 % of its steps on self-loops.
-The kernel therefore advances the *embedded jump chain* directly (a
-vectorized Gillespie/SSA step): per step it computes each replication's total
-exit rate ``r = n_think/Z + busy_front·exit(front_phase) +
-busy_db·exit(db_phase)``, draws the holding time as ``Exp(1)/r``, picks the
-event category from one uniform, and resolves the MAP jump destination from a
-second uniform.  Statistically this is the same process — every step is a
-real transition, and the per-state holding times are exact.
+A fitted bursty MAP(2) spends most of its time in a slow phase whose exit
+rate is an order of magnitude below the fast phase's, so a uniformized clock
+with a global rate ``Λ = N/Z + max exit rates`` would spend 70–85 % of its
+steps on self-loops.  The kernel advances the *embedded jump chain*
+directly (a vectorized Gillespie/SSA step): per step it computes each
+replication's total exit rate ``r = n_think/Z + busy_front·exit(front_phase)
++ busy_db·exit(db_phase)``, draws the holding time as ``Exp(1)/r``, picks the
+event category from one uniform, and resolves the MAP jump destination from
+a second uniform.  A step whose holding time would cross the replication's
+segment boundary is clamped to the boundary and fires no transition (exact
+by memorylessness).
 
 Seed policy
 -----------
 Results are **per-replication deterministic and batch-composition
 independent**: replication ``i`` owns ``numpy.random.default_rng(seeds[i])``
-and consumes only its own stream, so its result depends on ``seeds[i]``
-alone — not on ``R``, not on which other replications share the batch.  This
-is what lets the experiment runner resume a partially-cached replication set
-bit-identically: the missing replications are re-batched in any combination
-and still produce the original values.
-
-Per replication, the stream is consumed as:
+and consumes only its own stream, so its result depends on ``seeds[i]`` and
+the timeline alone — not on ``R`` or on which replications share the batch.
+This is what lets the experiment runner resume a partially-cached
+replication set bit-identically under any re-batching.  Per replication the
+stream is consumed as:
 
 1. one uniform for the initial front phase, then one for the initial
-   database phase (inverse CDF of each MAP's embedded stationary
-   distribution),
+   database phase (inverse CDF of the first segment's MAPs' embedded
+   stationary distributions),
 2. then blocks of ``BATCH_RNG_CHUNK`` draws per refill: that many unit
    exponentials (holding times), then that many uniforms (event category),
-   then that many uniforms (jump destination).  Each simulation step consumes
-   exactly one variate from each of the three buffers, whatever the event
-   outcome.
+   then that many uniforms (jump destination).  Every step — regular,
+   clamped at a boundary or deadlocked in an outage — consumes exactly one
+   variate from each of the three buffers.
 
-``BATCH_RNG_CHUNK`` is therefore part of the seed policy (like ``RNG_CHUNK``
-of the scalar kernel): changing it changes seeded trajectories.
-``BATCH_WINDOW`` (the statistics-reduction window) does not affect the
-trajectory, but it partitions the time-weighted sums and so pins their
-last-ulp rounding; together with the batch-width-independent pairwise fold
-(:func:`_fold_columns`) it is what makes a replication's result bit-equal
-whether it runs alone or inside any batch.
-
-The batched and scalar kernels consume their generators differently, so the
-same seed gives *different* (equally valid) trajectories on the two
-backends; fixed ``(seed, backend)`` is bit-identical across runs and
-platforms (pinned by a regression test).
+``BATCH_RNG_CHUNK`` is therefore part of the seed policy: changing it
+changes seeded trajectories.  ``BATCH_WINDOW`` (the statistics-reduction
+window) does not affect the trajectory, but it partitions the time-weighted
+sums and so pins their last-ulp rounding; with the batch-width-independent
+pairwise fold (:func:`_fold_columns`) it makes a replication's result
+bit-equal whether it runs alone or inside any batch.  The batched and scalar
+kernels consume their generators differently, so the same seed gives
+*different* (equally valid) trajectories on the two backends.
 
 Performance
 -----------
-Per step the kernel pays a fixed number of numpy calls on length-R arrays,
-so the aggregate event rate grows almost linearly with ``R`` until memory
-bandwidth binds: the batch crosses over with the scalar kernel around R≈16
-and reaches an order of magnitude more events/second in the hundreds of
-replications (measured in ``BENCH_solver.json`` → ``sim_loop``).  That is
-the regime this kernel exists for — confidence intervals from hundreds or
-thousands of replications per grid point.
+Per step the kernel pays a fixed number of allocation-free numpy calls on
+length-R arrays, so the aggregate event rate grows almost linearly with
+``R`` (measured in ``BENCH_solver.json`` → ``sim_loop``).  Timelines cost a
+one-segment run almost nothing: the current segment is folded into the
+phase indices (row ``segment * KG + phase`` of stacked exit and destination
+tables), boundary clamping runs only on steps where a scalar
+``next_boundary`` test fires, and deadlock masking only when some segment
+has an outage.  MAPs of order <= 2 resolve jump destinations with
+branch-free threshold comparisons (:func:`_destination_scalars`); higher
+orders gather rows of a CDF table (:func:`_destination_table`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.maps.map_process import MAP
+from repro.queueing.transient import NetworkSegment
 from repro.simulation.closed_network import ClosedNetworkSimResult
 
 __all__ = [
@@ -118,13 +119,12 @@ def _fold_columns(block: np.ndarray) -> np.ndarray:
     return block[0]
 
 
-def _jump_probabilities(map_process: MAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exit rates + per-phase hidden/marked jump probabilities of one MAP."""
-    rates = -np.diag(map_process.D0)
+def _jump_probabilities(map_process: MAP) -> tuple[np.ndarray, np.ndarray]:
+    """Per-phase hidden / marked jump probabilities of one MAP."""
+    rates = -np.diag(map_process.D0)[:, None]
     hidden = np.maximum(map_process.D0, 0.0)
     np.fill_diagonal(hidden, 0.0)
-    marked = np.maximum(map_process.D1, 0.0)
-    return rates, hidden / rates[:, None], marked / rates[:, None]
+    return hidden / rates, np.maximum(map_process.D1, 0.0) / rates
 
 
 def _destination_table(front: MAP, db: MAP) -> np.ndarray:
@@ -148,7 +148,7 @@ def _destination_table(front: MAP, db: MAP) -> np.ndarray:
     KG = K1 + K2
     table = np.full((KG, 2 * KG), 2.0)
     for map_process, offset, order in ((front, 0, K1), (db, K1, K2)):
-        _, hidden_p, marked_p = _jump_probabilities(map_process)
+        hidden_p, marked_p = _jump_probabilities(map_process)
         for phase in range(order):
             hidden_cum = np.cumsum(hidden_p[phase])
             marked_cum = hidden_cum[-1] + np.cumsum(marked_p[phase])
@@ -184,7 +184,7 @@ def _destination_scalars(front: MAP, db: MAP):
     for map_process, offset, order in ((front, 0, K1), (db, K1, K2)):
         if order > 2:
             raise ValueError("scalar destination tables require MAP order <= 2")
-        _, hidden_p, marked_p = _jump_probabilities(map_process)
+        hidden_p, marked_p = _jump_probabilities(map_process)
         for phase in range(order):
             g = offset + phase
             hidden_prob[g] = hidden_p[phase].sum()
@@ -202,92 +202,98 @@ def _initial_phase(cumulative: np.ndarray, u: float) -> int:
     return min(phase, len(cumulative) - 1)
 
 
-def simulate_closed_map_network_batch(
-    front_service: MAP,
-    db_service: MAP,
-    think_time: float,
-    population: int,
+class SegmentIntegrals(NamedTuple):
+    """Raw sums of one batch: per segment ``(segments, R)`` time integrals
+    over the post-warmup window and completions, plus ``events`` ``(R,)``."""
+
+    completed: np.ndarray
+    busy_front: np.ndarray
+    busy_db: np.ndarray
+    area_front: np.ndarray
+    area_db: np.ndarray
+    measured: np.ndarray
+    events: np.ndarray
+
+
+def simulate_segments_batch(
+    segments: Sequence[NetworkSegment],
     horizon: float,
-    warmup: float = 0.0,
-    seeds: Sequence[int] = (),
-    destination_path: str = "auto",
-) -> list[ClosedNetworkSimResult]:
-    """Simulate ``len(seeds)`` replications of the closed network at once.
+    warmup: float,
+    seeds: Sequence[int],
+) -> SegmentIntegrals:
+    """Run the lockstep kernel over a validated timeline.
 
-    Parameters mirror :func:`~repro.simulation.closed_network.
-    simulate_closed_map_network`; instead of one ``rng`` the caller passes
-    one integer seed per replication (see the module docstring for the seed
-    policy).  Returns one :class:`ClosedNetworkSimResult` per seed, in seed
-    order.
-
-    ``destination_path`` selects how MAP jump destinations are resolved:
-    ``"auto"`` uses the branch-free scalar path when both MAPs have order
-    <= 2 and the general CDF table otherwise; ``"table"`` / ``"scalars"``
-    force a path (the two are outcome-identical where both apply — forcing
-    exists for tests and benchmarks).
+    ``segments`` must be non-empty with equal MAP orders, ``horizon`` their
+    total duration and ``warmup`` in ``[0, horizon)``; the public entry
+    points check this.  Every replication needs a seed.
     """
-    if think_time <= 0:
-        raise ValueError("think_time must be positive for the simulator")
-    if population < 1:
-        raise ValueError("population must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be non-negative")
-    if horizon <= warmup:
-        raise ValueError("horizon must exceed warmup")
     if not seeds:
         raise ValueError("seeds must contain at least one replication seed")
-    if destination_path not in ("auto", "table", "scalars"):
-        raise ValueError(f"unknown destination_path {destination_path!r}")
-
-    num_replications = len(seeds)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    K1, K2 = front_service.order, db_service.order
+    num_segments = len(segments)
+    multi = num_segments > 1
+    last = num_segments - 1
+    K1 = segments[0].front.order
+    K2 = segments[0].db.order
     KG = K1 + K2
-    small_orders = K1 <= 2 and K2 <= 2
-    if destination_path == "scalars" and not small_orders:
-        raise ValueError("destination_path='scalars' requires MAP orders <= 2")
-    use_scalars = small_orders if destination_path == "auto" else destination_path == "scalars"
+    boundaries = np.cumsum([segment.duration for segment in segments])
 
-    exit_rate = np.concatenate([-np.diag(front_service.D0), -np.diag(db_service.D0)])
+    # -- stacked per-segment tables, indexed by the segment-offset phase
+    # ``segment * KG + global_phase`` that fp / dp carry.  A down station
+    # has zero exit rates: it never wins the event race, so its (healthy-MAP)
+    # destination entries are never consulted and its phase freezes. -----
+    exit_rate = np.concatenate([
+        np.concatenate([
+            -np.diag(segment.front.D0) if segment.front_up else np.zeros(K1),
+            -np.diag(segment.db.D0) if segment.db_up else np.zeros(K2),
+        ])
+        for segment in segments
+    ])
+    use_scalars = K1 <= 2 and K2 <= 2
     if use_scalars:
-        hid_prob, mark_thresh, mark_base, hid_dest = _destination_scalars(
-            front_service, db_service
-        )
-        table = table_width = None
+        parts = [_destination_scalars(s.front, s.db) for s in segments]
+        hid_prob = np.concatenate([p[0] for p in parts])
+        mark_thresh = np.concatenate([p[1] for p in parts])
+        mark_base = np.concatenate([p[2] + g * KG for g, p in enumerate(parts)])
+        hid_dest = np.concatenate([p[3] + g * KG for g, p in enumerate(parts)])
     else:
-        table = _destination_table(front_service, db_service)
-        table_width = table.shape[1]
-    inv_think = 1.0 / think_time
+        table = np.vstack([_destination_table(s.front, s.db) for s in segments])
+        seg_base = np.repeat(np.arange(num_segments) * KG, KG)
 
-    R = num_replications
+    R = len(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # -- initial state: everyone thinking, phases ~ embedded stationary ----
-    front_cum = np.cumsum(front_service.embedded_stationary)
-    db_cum = np.cumsum(db_service.embedded_stationary)
-    fp = np.empty(R, dtype=np.intp)
-    dp = np.empty(R, dtype=np.intp)
+    front_cum = np.cumsum(segments[0].front.embedded_stationary)
+    db_cum = np.cumsum(segments[0].db.embedded_stationary)
+    fp, dp = np.empty((2, R), dtype=np.intp)
     for r, rng in enumerate(rngs):
         fp[r] = _initial_phase(front_cum, rng.random())
         dp[r] = K1 + _initial_phase(db_cum, rng.random())
-
-    nf = np.zeros(R, dtype=np.int64)
-    ndb = np.zeros(R, dtype=np.int64)
+    nf, ndb, events = np.zeros((3, R), dtype=np.int64)
     clock = np.zeros(R)
-    busy_front = np.zeros(R)
-    busy_db = np.zeros(R)
-    area_front = np.zeros(R)
-    area_db = np.zeros(R)
-    measured = np.zeros(R)
-    completed = np.zeros(R, dtype=np.int64)
-    events = np.zeros(R, dtype=np.int64)
+    completed = np.zeros((num_segments, R), dtype=np.int64)
+    busy_front, busy_db, area_front, area_db, measured = np.zeros((5, num_segments, R))
+
+    # -- current-segment parameters, gathered per replication on boundary
+    # crossings only.  The last segment's end is +inf: the horizon, not a
+    # boundary, ends it. ---------------------------------------------------
+    population_int = np.array([s.population for s in segments], dtype=np.int64)
+    population_table = population_int.astype(float)
+    inv_think_table = np.array([1.0 / s.think_time for s in segments])
+    end_table = np.append(boundaries[:-1], np.inf)
+    seg_idx = np.zeros(R, dtype=np.intp)
+    population = np.full(R, population_table[0])
+    inv_think = np.full(R, inv_think_table[0])
+    seg_end = np.full(R, end_table[0])
+    next_boundary = end_table[0]
+    # every job may queue at a down station with the other one empty: such a
+    # deadlocked replication has total rate 0 and fires nothing
+    outage = any(segment.has_outage for segment in segments)
 
     # -- RNG stores: (BATCH_RNG_CHUNK, R) consumed row-per-step; the +1
     # column pad breaks the power-of-two stride that would otherwise alias
     # every refill column onto the same cache sets ----------------------
     chunk = BATCH_RNG_CHUNK
-    store_shape = (chunk, R + 1)
-    exp_store = np.empty(store_shape)
-    event_store = np.empty(store_shape)
-    dest_store = np.empty(store_shape)
+    exp_store, event_store, dest_store = np.empty((3, chunk, R + 1))
     refill_block = min(16, R)
     refill_scratch = np.empty((refill_block, chunk))
 
@@ -309,46 +315,23 @@ def simulate_closed_map_network_batch(
 
     # -- per-window statistics buffers ----------------------------------
     S = BATCH_WINDOW
-    nf_buf = np.empty((S, R), dtype=np.int32)
-    ndb_buf = np.empty((S, R), dtype=np.int32)
-    clock_buf = np.empty((S, R))
-    md_buf = np.empty((S, R), dtype=bool)
-    before = np.empty((S, R))
-    seg = np.empty((S, R))
-    seg_start = np.empty((S, R))
+    nf_buf, ndb_buf = np.empty((2, S, R), dtype=np.int32)
+    clock_buf, before, span, span_start = np.empty((4, S, R))
+    md_buf, skip_buf = np.zeros((2, S, R), dtype=bool)
+    seg_buf = np.zeros((S, R), dtype=np.intp)
 
     # -- length-R scratch (the hot loop allocates nothing) -----------------
+    (think_rate, front_rate, db_rate, through_front, total_rate, dt, u,
+     scratch_f, scratch_f2, start_clock) = np.empty((10, R))
+    (past_think, past_front, front_busy, db_busy, front_event, think_event,
+     marked, marked_front, marked_db, apply, clamp) = np.empty((11, R), dtype=bool)
     occupancy = np.empty(R, dtype=np.int64)
-    think_rate = np.empty(R)
-    front_rate = np.empty(R)
-    db_rate = np.empty(R)
-    through_front = np.empty(R)
-    total_rate = np.empty(R)
-    dt = np.empty(R)
-    u = np.empty(R)
-    past_think = np.empty(R, dtype=bool)
-    past_front = np.empty(R, dtype=bool)
-    front_busy = np.empty(R, dtype=bool)
-    db_busy = np.empty(R, dtype=bool)
-    front_event = np.empty(R, dtype=bool)
-    think_event = np.empty(R, dtype=bool)
-    marked = np.empty(R, dtype=bool)
-    marked_front = np.empty(R, dtype=bool)
-    marked_db = np.empty(R, dtype=bool)
-    act = np.empty(R, dtype=np.intp)
-    dest = np.empty(R, dtype=np.intp)
-    dest_alt = np.empty(R, dtype=np.intp)
-    scratch_f = np.empty(R)
-    scratch_f2 = np.empty(R)
-    start_clock = np.empty(R)
+    act, dest, dest_alt, jump, jump_sub = np.empty((5, R), dtype=np.intp)
     if not use_scalars:
-        rows = np.empty((R, table_width))
-        rows_le = np.empty((R, table_width), dtype=bool)
-        jump = np.empty(R, dtype=np.intp)
-        jump_sub = np.empty(R, dtype=np.intp)
+        rows = np.empty((R, table.shape[1]))
+        rows_le = np.empty(rows.shape, dtype=bool)
 
     position = chunk  # forces a refill on the first window
-    population_f = float(population)
     while True:
         if position >= chunk:
             _refill()
@@ -358,9 +341,11 @@ def simulate_closed_map_network_batch(
             column = position + s
             nf_buf[s] = nf
             ndb_buf[s] = ndb
+            if multi:
+                seg_buf[s] = seg_idx
             # total exit rate of every replication's current state
             np.add(nf, ndb, out=occupancy)
-            np.subtract(population_f, occupancy, out=think_rate)
+            np.subtract(population, occupancy, out=think_rate)
             think_rate *= inv_think
             np.take(exit_rate, fp, out=front_rate)
             np.greater(nf, 0, out=front_busy)
@@ -370,9 +355,31 @@ def simulate_closed_map_network_batch(
             db_rate *= db_busy
             np.add(think_rate, front_rate, out=through_front)
             np.add(through_front, db_rate, out=total_rate)
-            # holding time + clock
-            np.divide(exp_store[column, :R], total_rate, out=dt)
+            # holding time + clock; a deadlocked replication (total rate 0)
+            # gets dt = inf, which clamps it to its segment boundary or — on
+            # the last segment — carries it past the horizon
+            masked = outage
+            if outage:
+                np.greater(total_rate, 0.0, out=apply)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    np.divide(exp_store[column, :R], total_rate, out=dt)
+                np.logical_not(apply, out=clamp)
+                np.copyto(dt, np.inf, where=clamp)
+            else:
+                np.divide(exp_store[column, :R], total_rate, out=dt)
             clock += dt
+            crossed = multi and clock.max() >= next_boundary
+            if crossed:
+                # clamp replications past their segment end to the boundary;
+                # they fire no transition (but consumed their draws)
+                np.greater_equal(clock, seg_end, out=clamp)
+                clamp &= seg_idx < last
+                np.copyto(clock, seg_end, where=clamp)
+                if masked:
+                    apply &= ~clamp
+                else:
+                    np.logical_not(clamp, out=apply)
+                    masked = True
             clock_buf[s] = clock
             # event category: [0, think) -> think completion,
             # [think, think+front) -> front MAP jump, rest -> db MAP jump
@@ -400,53 +407,114 @@ def simulate_closed_map_network_batch(
                 np.greater_equal(jump, KG, out=marked)
                 np.multiply(marked, KG, out=jump_sub)
                 np.subtract(jump, jump_sub, out=dest)
-            # state updates
+                np.take(seg_base, act, out=jump_sub)
+                dest += jump_sub
+            # state updates (clamped and deadlocked replications keep theirs)
             np.not_equal(past_think, past_front, out=front_event)
+            np.logical_not(past_think, out=think_event)
+            if masked:
+                front_event &= apply
+                think_event &= apply
+                past_front &= apply  # from here on: "database event"
+                np.logical_not(apply, out=skip_buf[s])
+            elif multi:
+                skip_buf[s] = False
             np.copyto(fp, dest, where=front_event)
             np.copyto(dp, dest, where=past_front)
             np.logical_and(front_event, marked, out=marked_front)
             np.logical_and(past_front, marked, out=marked_db)
             md_buf[s] = marked_db
-            np.logical_not(past_think, out=think_event)
             nf += think_event
             nf -= marked_front
             ndb += marked_front
             ndb -= marked_db
+            if crossed and clamp.any():
+                # Enter the next segment: phases carry over (shifted by one
+                # segment's offset); a population decrease drops the excess
+                # from the front queue, then the database (no-op if unclamped).
+                seg_idx += clamp
+                fp += clamp * KG
+                dp += clamp * KG
+                np.take(population_table, seg_idx, out=population)
+                np.take(inv_think_table, seg_idx, out=inv_think)
+                np.take(end_table, seg_idx, out=seg_end)
+                next_boundary = seg_end.min()
+                excess = np.clip(nf + ndb - np.take(population_int, seg_idx), 0, None)
+                drop_front = np.minimum(nf, excess)
+                nf -= drop_front
+                ndb -= excess - drop_front
         position += S
         # -- window reductions: time-weighted statistics over [0, horizon],
-        # warmup excluded, exactly as the scalar kernel accumulates them.
-        # Float sums go through the batch-width-independent pairwise fold;
-        # the integer counts (events, completions) are exact in any order.
+        # warmup excluded, per step-start segment (boundary crossings are
+        # clamped, so every step lies inside one segment).  Float sums go
+        # through the batch-width-independent pairwise fold; the integer
+        # counts (events, completions) are exact in any order.
         before[0] = start_clock
         before[1:] = clock_buf[:-1]
-        np.minimum(clock_buf, horizon, out=seg)
-        np.maximum(before, warmup, out=seg_start)
-        seg -= seg_start
-        np.clip(seg, 0.0, None, out=seg)
-        measured += _fold_columns(seg)
-        busy_front += _fold_columns(seg * (nf_buf > 0))
-        busy_db += _fold_columns(seg * (ndb_buf > 0))
-        area_front += _fold_columns(seg * nf_buf)
-        area_db += _fold_columns(seg * ndb_buf)
-        events += (before < horizon).sum(axis=0)
-        completed += (md_buf & (clock_buf >= warmup) & (clock_buf < horizon)).sum(axis=0)
+        np.minimum(clock_buf, horizon, out=span)
+        np.maximum(before, warmup, out=span_start)
+        span -= span_start
+        np.clip(span, 0.0, None, out=span)
+        front_held = nf_buf > 0
+        db_held = ndb_buf > 0
+        done = md_buf & (clock_buf >= warmup) & (clock_buf < horizon)
+        events += ((before < horizon) & ~skip_buf).sum(axis=0)
+        first, final = int(seg_buf[0].min()), int(seg_buf[-1].max())
+        for g in range(first, final + 1):
+            # only segments visited in this window: the others add exact zeros
+            mask = seg_buf == g
+            part, part_done = span * mask, done & mask
+            measured[g] += _fold_columns(part)
+            busy_front[g] += _fold_columns(part * front_held)
+            busy_db[g] += _fold_columns(part * db_held)
+            area_front[g] += _fold_columns(part * nf_buf)
+            area_db[g] += _fold_columns(part * ndb_buf)
+            completed[g] += part_done.sum(axis=0)
         if clock.min() >= horizon:
             break
 
+    return SegmentIntegrals(completed, busy_front, busy_db, area_front, area_db, measured, events)
+
+
+def simulate_closed_map_network_batch(
+    front_service: MAP,
+    db_service: MAP,
+    think_time: float,
+    population: int,
+    horizon: float,
+    warmup: float = 0.0,
+    seeds: Sequence[int] = (),
+) -> list[ClosedNetworkSimResult]:
+    """Simulate ``len(seeds)`` replications of the closed network at once.
+
+    Parameters mirror :func:`~repro.simulation.closed_network.
+    simulate_closed_map_network`; instead of one ``rng`` the caller passes
+    one integer seed per replication (see the module docstring for the seed
+    policy).  Returns one :class:`ClosedNetworkSimResult` per seed, in seed
+    order.  The network runs as a one-segment timeline.
+    """
+    if think_time <= 0:
+        raise ValueError("think_time must be positive for the simulator")
+    if population < 1:
+        raise ValueError("population must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be non-negative")
+    if horizon <= warmup:
+        raise ValueError("horizon must exceed warmup")
+
+    segment = NetworkSegment(horizon, front_service, db_service, think_time, population)
+    sums = simulate_segments_batch([segment], horizon, warmup, seeds)
+    completed, measured = sums.completed[0], sums.measured[0]
     return [
         ClosedNetworkSimResult(
-            population=population,
-            think_time=think_time,
-            horizon=horizon,
+            population=population, think_time=think_time, horizon=horizon,
             throughput=float(completed[r] / measured[r]),
-            front_utilization=float(busy_front[r] / measured[r]),
-            db_utilization=float(busy_db[r] / measured[r]),
-            front_queue_length=float(area_front[r] / measured[r]),
-            db_queue_length=float(area_db[r] / measured[r]),
-            completed=int(completed[r]),
-            warmup=warmup,
-            measured_time=float(measured[r]),
-            events=int(events[r]),
+            front_utilization=float(sums.busy_front[0, r] / measured[r]),
+            db_utilization=float(sums.busy_db[0, r] / measured[r]),
+            front_queue_length=float(sums.area_front[0, r] / measured[r]),
+            db_queue_length=float(sums.area_db[0, r] / measured[r]),
+            completed=int(completed[r]), warmup=warmup,
+            measured_time=float(measured[r]), events=int(sums.events[r]),
         )
-        for r in range(R)
+        for r in range(len(seeds))
     ]

@@ -27,7 +27,7 @@ from repro.queueing.ctmc import _balance_system
 from repro.queueing.kron_operator import (
     LevelSweepPreconditioner,
     MatrixFreeGenerator,
-    TwoLevelPreconditioner,
+    MultilevelPreconditioner,
 )
 from repro.queueing.map_network import MapClosedNetworkSolver
 
@@ -224,7 +224,7 @@ class TestLevelSweepPreconditioner:
     def test_linear_operator_view(self, setup):
         space, operator, _, _ = setup
         preconditioner = operator.preconditioner()
-        assert isinstance(preconditioner, TwoLevelPreconditioner)
+        assert isinstance(preconditioner, MultilevelPreconditioner)
         r = np.random.default_rng(10).standard_normal(space.num_states)
         np.testing.assert_array_equal(
             preconditioner.as_linear_operator() @ r, preconditioner.solve(r)

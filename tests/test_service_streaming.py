@@ -1,5 +1,8 @@
 """Streaming ingestion: chunked readers and exactly-mergeable window stats."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -135,6 +138,10 @@ class TestReader:
         assert rest.shape == (6, 2) and offset == 10
         again, offset = read_trace_chunk(trace, 10, 100)
         assert again.shape == (0, 2) and offset == 10
+        # the budget bounds the read, it does not size it (10**12 records
+        # would be 16 TB), and an offset past the end reads nothing
+        beyond, offset = read_trace_chunk(trace, 50, 10**12)
+        assert beyond.shape == (0, 2) and offset == 50
 
     def test_partial_trailing_record_not_consumed(self, tmp_path):
         trace = tmp_path / "t.trace"
@@ -152,6 +159,26 @@ class TestReader:
         assert reader.read_chunk().shape == (0, 2)
         write_trace_records(trace, [5], [2], append=True)
         assert reader.read_chunk().tolist() == [[5, 2]]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+    @pytest.mark.parametrize("max_events, expected", [(10**12, 5), (3, 3)])
+    def test_fifo_reads_in_bounded_pieces(self, tmp_path, max_events, expected):
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        source = tmp_path / "t.trace"
+        write_trace_records(source, np.arange(5, dtype=np.int64) * 10, np.full(5, 2, dtype=np.int64))
+
+        def feed():
+            with open(fifo, "wb") as stream:
+                stream.write(source.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        records, offset = read_trace_chunk(fifo, 0, max_events)
+        writer.join(timeout=10.0)
+        assert not writer.is_alive()
+        assert records.tolist() == [[10 * i, 2] for i in range(expected)]
+        assert offset == expected
 
     def test_rejects_float_records(self, tmp_path):
         with pytest.raises(ValueError, match="quantize"):

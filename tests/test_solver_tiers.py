@@ -237,7 +237,6 @@ class TestSolveDiagnostics:
         assert result.solver_tier == "direct"
         assert result.krylov_iterations is None
         assert result.solver_attempts[-1]["strategy"] == "direct"
-        assert result.cascade_ladder == ()
 
     def test_diagnostics_do_not_affect_equality(self, solver):
         # Diagnostics are provenance, not content (compare=False fields).
@@ -246,40 +245,3 @@ class TestSolveDiagnostics:
         assert first.population == second.population
         assert first.throughput == pytest.approx(second.throughput, rel=1e-8)
 
-
-class TestCascade:
-    def test_ladder_and_agreement_with_cold(self, solver):
-        cold = solver.solve(30, tier="matrix_free")
-        cascaded = solver.solve(30, tier="matrix_free", cascade=True)
-        assert cold.cascade_ladder == ()
-        assert cascaded.cascade_ladder == (7, 15)
-        strategies = [a["strategy"] for a in cascaded.solver_attempts]
-        assert any(s.startswith("N=7:") for s in strategies)
-        assert any(s.startswith("N=15:") for s in strategies)
-        # The final rung's attempt is the target solve, unprefixed.
-        assert not strategies[-1].startswith("N=")
-        assert cascaded.throughput == pytest.approx(cold.throughput, rel=1e-8)
-        assert cascaded.db_queue_length == pytest.approx(
-            cold.db_queue_length, rel=1e-6, abs=1e-9
-        )
-
-    def test_cascade_is_inert_outside_matrix_free(self, solver):
-        result = solver.solve(10, cascade=True)  # direct tier at this size
-        assert result.solver_tier == "direct"
-        assert result.cascade_ladder == ()
-
-    def test_cascade_yields_to_explicit_guess(self, solver):
-        space = solver.state_space(30)
-        guess = np.full(space.num_states, 1.0 / space.num_states)
-        result = solver.solve(
-            30, tier="matrix_free", cascade=True, initial_guess=guess
-        )
-        assert result.cascade_ladder == ()
-
-    def test_sweep_inserts_rungs_and_matches_cold(self, solver):
-        cascaded = solver.solve_sweep([20, 30], tier="matrix_free", cascade=True)
-        assert [r.cascade_ladder for r in cascaded] == [(5, 10), (7, 15)]
-        cold = solver.solve_sweep([20, 30], tier="matrix_free")
-        assert [r.cascade_ladder for r in cold] == [(), ()]
-        for warm, reference in zip(cascaded, cold):
-            assert warm.throughput == pytest.approx(reference.throughput, rel=1e-8)
