@@ -335,13 +335,13 @@ class CacheEntryInfo:
     name: str
     spec_hash: str
     path: Path
-    status: str  # "complete" | "partial" | "legacy" | "corrupt"
+    status: str  # "complete" | "partial" | "corrupt"
     cells: int
     artifacts: int
     total_bytes: int
     mtime: float
-    #: ``code_fingerprint`` recorded in the manifest (``None`` for legacy and
-    #: corrupt entries, which can never be served).
+    #: ``code_fingerprint`` recorded in the manifest (``None`` for corrupt
+    #: entries, which can never be served).
     code_fingerprint: str | None = None
 
     @property
@@ -390,10 +390,6 @@ class ResultCache:
     def manifest_path(self, spec: ScenarioSpec) -> Path:
         return self.path(spec) / _MANIFEST
 
-    def legacy_path(self, spec: ScenarioSpec) -> Path:
-        """Entry location of the pre-artifact single-file cache format."""
-        return self.directory / f"{spec.name}-{spec.hash()}.json"
-
     # ------------------------------------------------------------------
     # Read
     # ------------------------------------------------------------------
@@ -406,13 +402,6 @@ class ResultCache:
         """
         manifest = self._read_manifest(spec)
         if manifest is None:
-            legacy = self.legacy_path(spec)
-            if legacy.exists():
-                logger.warning(
-                    "legacy cache entry %s predates the solver-code fingerprint "
-                    "and cannot prove which kernels produced it; treating it as "
-                    "a miss (remove it with `cache rm` or `cache gc`)", legacy,
-                )
             return None
         if manifest.get("status") != "complete":
             return None
@@ -589,7 +578,7 @@ class ResultCache:
     # Inventory / maintenance (the ``cache`` CLI surface)
     # ------------------------------------------------------------------
     def entries(self) -> list[CacheEntryInfo]:
-        """Every entry in the cache directory, new-format and legacy."""
+        """Every entry (run directory) in the cache directory."""
         if not self.directory.exists():
             return []
         infos = []
@@ -604,61 +593,38 @@ class ResultCache:
         # cache entries; anything else (a mispointed --cache-dir full of
         # source trees, unrelated files) is invisible to ls/rm/gc — gc must
         # never be able to rmtree a directory this store did not create.
-        name, spec_hash = _split_entry_name(child.name.removesuffix(".json"))
-        if not spec_hash:
+        name, spec_hash = _split_entry_name(child.name)
+        if not spec_hash or not child.is_dir():
             return None
-        if child.is_dir():
-            manifest_path = child / _MANIFEST
-            total_bytes = sum(f.stat().st_size for f in child.iterdir() if f.is_file())
-            mtime = child.stat().st_mtime
-            try:
-                manifest = json.loads(manifest_path.read_text())
-                rows = manifest["rows"]
-                return CacheEntryInfo(
-                    name=manifest.get("name", name),
-                    spec_hash=manifest.get("spec_hash", spec_hash),
-                    path=child,
-                    status=manifest.get("status", "corrupt"),
-                    cells=len(rows),
-                    artifacts=sum(1 for r in rows if r.get("artifact") is not None),
-                    total_bytes=total_bytes,
-                    mtime=manifest_path.stat().st_mtime,
-                    code_fingerprint=manifest.get("code_fingerprint"),
-                )
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
-                return CacheEntryInfo(
-                    name=name, spec_hash=spec_hash, path=child, status="corrupt",
-                    cells=0, artifacts=0, total_bytes=total_bytes, mtime=mtime,
-                )
-        if child.is_file() and child.suffix == ".json":
-            try:
-                payload = json.loads(child.read_text())
-                if not isinstance(payload, dict) or "spec_hash" not in payload:
-                    return None
-                return CacheEntryInfo(
-                    name=payload.get("name", name),
-                    spec_hash=payload.get("spec_hash", spec_hash),
-                    path=child,
-                    status="legacy",
-                    cells=len(payload.get("rows", [])),
-                    artifacts=0,
-                    total_bytes=child.stat().st_size,
-                    mtime=child.stat().st_mtime,
-                )
-            except (OSError, json.JSONDecodeError):
-                return CacheEntryInfo(
-                    name=name, spec_hash=spec_hash, path=child, status="corrupt",
-                    cells=0, artifacts=0, total_bytes=child.stat().st_size,
-                    mtime=child.stat().st_mtime,
-                )
-        return None
+        manifest_path = child / _MANIFEST
+        total_bytes = sum(f.stat().st_size for f in child.iterdir() if f.is_file())
+        mtime = child.stat().st_mtime
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            rows = manifest["rows"]
+            return CacheEntryInfo(
+                name=manifest.get("name", name),
+                spec_hash=manifest.get("spec_hash", spec_hash),
+                path=child,
+                status=manifest.get("status", "corrupt"),
+                cells=len(rows),
+                artifacts=sum(1 for r in rows if r.get("artifact") is not None),
+                total_bytes=total_bytes,
+                mtime=manifest_path.stat().st_mtime,
+                code_fingerprint=manifest.get("code_fingerprint"),
+            )
+        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+            return CacheEntryInfo(
+                name=name, spec_hash=spec_hash, path=child, status="corrupt",
+                cells=0, artifacts=0, total_bytes=total_bytes, mtime=mtime,
+            )
 
     def remove(self, scenario: str) -> list[CacheEntryInfo]:
         """Remove every entry (any spec hash) of the named scenario."""
         removed = []
         for info in self.entries():
             if info.name == scenario:
-                _remove_entry_path(info.path)
+                shutil.rmtree(info.path, ignore_errors=True)
                 removed.append(info)
         return removed
 
@@ -674,8 +640,7 @@ class ResultCache:
           served again),
         * entries whose ``code_fingerprint`` differs from the current
           :func:`source_fingerprint` — the solver/simulator code changed, so
-          they can never be served again either; legacy single-file entries
-          (which predate the fingerprint entirely) fall in the same bucket,
+          they can never be served again either,
         * entries older than ``max_age_days``,
         * corrupt remnants (entry-named paths with an unreadable manifest)
           that have been sitting for at least an hour — the grace period
@@ -704,7 +669,7 @@ class ResultCache:
         removed_orphans = 0
         freed = 0
         for info in self.entries():
-            if info.path.is_dir() and fleet_activity(info.path):
+            if fleet_activity(info.path):
                 logger.info(
                     "gc: skipping cache entry %s — a fleet campaign holds "
                     "live leases or worker heartbeats in it", info.path,
@@ -716,39 +681,35 @@ class ResultCache:
             stale_code = (
                 info.status in ("complete", "partial")
                 and info.code_fingerprint != source_fingerprint()
-            ) or info.status == "legacy"
+            )
             too_old = (
                 max_age_days is not None
                 and info.age_seconds > max_age_days * 86400.0
             )
             corrupt = info.status == "corrupt" and info.age_seconds > _CORRUPT_GRACE_SECONDS
             if stale_hash or stale_code or too_old or corrupt:
-                quarantine_bytes = 0
-                fleet_bytes = 0
-                if info.path.is_dir():
-                    _, quarantine_bytes = _quarantine_stats(info.path)
-                    _, fleet_bytes = _tree_size(info.path / FLEET_DIRNAME)
+                _, quarantine_bytes = _quarantine_stats(info.path)
+                _, fleet_bytes = _tree_size(info.path / FLEET_DIRNAME)
                 freed += info.total_bytes + quarantine_bytes + fleet_bytes
-                _remove_entry_path(info.path)
+                shutil.rmtree(info.path, ignore_errors=True)
                 removed_entries.append(info.path.name)
                 continue
-            if info.path.is_dir():
-                if (info.path / _QUARANTINE).is_dir():
-                    quarantined, quarantine_bytes = _quarantine_stats(info.path)
-                    shutil.rmtree(info.path / _QUARANTINE, ignore_errors=True)
-                    removed_orphans += quarantined
-                    freed += quarantine_bytes
-                fleet_dir = info.path / FLEET_DIRNAME
-                if fleet_dir.is_dir() and info.status == "complete":
-                    # Merged, dead campaign: the manifest holds everything
-                    # the queue's shards and markers recorded.
-                    fleet_files, fleet_bytes = _tree_size(fleet_dir)
-                    shutil.rmtree(fleet_dir, ignore_errors=True)
-                    removed_orphans += fleet_files
-                    freed += fleet_bytes
-                orphans, orphan_bytes = self._prune_orphans(info.path)
-                removed_orphans += orphans
-                freed += orphan_bytes
+            if (info.path / _QUARANTINE).is_dir():
+                quarantined, quarantine_bytes = _quarantine_stats(info.path)
+                shutil.rmtree(info.path / _QUARANTINE, ignore_errors=True)
+                removed_orphans += quarantined
+                freed += quarantine_bytes
+            fleet_dir = info.path / FLEET_DIRNAME
+            if fleet_dir.is_dir() and info.status == "complete":
+                # Merged, dead campaign: the manifest holds everything
+                # the queue's shards and markers recorded.
+                fleet_files, fleet_bytes = _tree_size(fleet_dir)
+                shutil.rmtree(fleet_dir, ignore_errors=True)
+                removed_orphans += fleet_files
+                freed += fleet_bytes
+            orphans, orphan_bytes = self._prune_orphans(info.path)
+            removed_orphans += orphans
+            freed += orphan_bytes
         return GcReport(tuple(removed_entries), removed_orphans, freed)
 
     @staticmethod
@@ -780,13 +741,6 @@ def _split_entry_name(stem: str) -> tuple[str, str]:
         if re.fullmatch(r"[0-9a-f]+", candidate):
             return stem[: -_HASH_LEN - 1], candidate
     return stem, ""
-
-
-def _remove_entry_path(path: Path) -> None:
-    if path.is_dir():
-        shutil.rmtree(path, ignore_errors=True)
-    else:
-        path.unlink(missing_ok=True)
 
 
 class CacheWriter:

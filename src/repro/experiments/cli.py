@@ -651,7 +651,7 @@ def _print_failures(result: ExperimentResult) -> None:
     print()
 
 
-def _print_run_outcome(spec: ScenarioSpec, result: ExperimentResult, runner, cache_dir) -> None:
+def _print_run_outcome(spec: ScenarioSpec, result: ExperimentResult, runner) -> None:
     source = "cache" if result.from_cache else f"computed in {result.elapsed_seconds:.1f}s"
     meta = result.meta
     accounting = ""
@@ -683,7 +683,7 @@ def _print_run_outcome(spec: ScenarioSpec, result: ExperimentResult, runner, cac
             "(recorded in the run manifest; re-running the scenario retries "
             "exactly those cells)"
         )
-    if cache_dir is not None and not result.from_cache:
+    if runner.cache is not None and not result.from_cache:
         print(f"cached at {runner.cache.path(spec)}")
 
 
@@ -704,37 +704,44 @@ def apply_sim_backend(spec: ScenarioSpec, backend: str) -> ScenarioSpec:
             f"scenario {spec.name!r} has no simulation solver; --sim-backend "
             "would have no effect"
         )
+    return _override_solver_option(spec, "simulation", "sim_backend", backend)
+
+
+def _override_solver_option(spec: ScenarioSpec, kind: str, option: str, value: str) -> ScenarioSpec:
+    """Set ``option=value`` on every ``kind`` solver and suffix the name ``-{value}``."""
     solvers = tuple(
-        replace(solver, options={**solver.options, "sim_backend": backend})
-        if solver.kind == "simulation"
+        replace(solver, options={**solver.options, option: value})
+        if solver.kind == kind
         else solver
         for solver in spec.solvers
     )
-    return replace(spec, name=f"{spec.name}-{backend}", solvers=solvers)
+    return replace(spec, name=f"{spec.name}-{value}", solvers=solvers)
+
+
+def _runner_from_args(args) -> ExperimentRunner:
+    """The runner of ``run``/``sweep``; ValueError when the flags conflict."""
+    if args.backend == "fleet" and args.no_cache:
+        raise ValueError(
+            "--backend fleet needs the cache (its work queue lives in the run "
+            "directory); drop --no-cache"
+        )
+    return ExperimentRunner(
+        cache_dir=None if args.no_cache else (args.cache_dir or default_cache_dir()),
+        jobs=args.jobs,
+        supervision=_supervision_from_args(args),
+        backend=args.backend,
+        fleet=_fleet_policy_from_args(args) if args.backend == "fleet" else None,
+    )
 
 
 def _cmd_run(args, spec) -> int:
     try:
         if args.sim_backend is not None:
             spec = apply_sim_backend(spec, args.sim_backend)
+        runner = _runner_from_args(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.backend == "fleet" and args.no_cache:
-        print(
-            "error: --backend fleet needs the cache (its work queue lives in "
-            "the run directory); drop --no-cache",
-            file=sys.stderr,
-        )
-        return 2
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    runner = ExperimentRunner(
-        cache_dir=cache_dir,
-        jobs=args.jobs,
-        supervision=_supervision_from_args(args),
-        backend=args.backend,
-        fleet=_fleet_policy_from_args(args) if args.backend == "fleet" else None,
-    )
     try:
         result = runner.run(spec, force=args.force)
     except FailureBudgetExceeded as error:
@@ -751,7 +758,7 @@ def _cmd_run(args, spec) -> int:
     if args.json:
         print(result.to_json())
     else:
-        _print_run_outcome(spec, result, runner, cache_dir)
+        _print_run_outcome(spec, result, runner)
     return 3 if result.failures else 0
 
 
@@ -794,21 +801,16 @@ def build_sweep_spec(
         solver_specs = tuple(SolverSpec(kind=kind) for kind in dict.fromkeys(solvers))
     else:
         solver_specs = base.solvers
-    if tier is not None:
-        solver_specs = tuple(
-            replace(solver, options={**solver.options, "tier": tier})
-            if solver.kind == "ctmc"
-            else solver
-            for solver in solver_specs
-        )
-        name += f"-{tier}"
-    return ScenarioSpec(
+    spec = ScenarioSpec(
         name=name,
         description=f"ad-hoc sweep derived from {base.name!r}",
         workload=new_workload,
         solvers=solver_specs,
         replication=base.replication,
     )
+    if tier is not None:
+        spec = _override_solver_option(spec, "ctmc", "tier", tier)
+    return spec
 
 
 def _cmd_sweep(args, base: ScenarioSpec) -> int:
@@ -820,24 +822,10 @@ def _cmd_sweep(args, base: ScenarioSpec) -> int:
         ]
         if args.sim_backend is not None:
             specs = [apply_sim_backend(spec, args.sim_backend) for spec in specs]
+        runner = _runner_from_args(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.backend == "fleet" and args.no_cache:
-        print(
-            "error: --backend fleet needs the cache (its work queue lives in "
-            "the run directory); drop --no-cache",
-            file=sys.stderr,
-        )
-        return 2
-    cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
-    runner = ExperimentRunner(
-        cache_dir=cache_dir,
-        jobs=args.jobs,
-        supervision=_supervision_from_args(args),
-        backend=args.backend,
-        fleet=_fleet_policy_from_args(args) if args.backend == "fleet" else None,
-    )
     try:
         results = [runner.run(spec, force=args.force) for spec in specs]
     except FailureBudgetExceeded as error:
@@ -858,7 +846,7 @@ def _cmd_sweep(args, base: ScenarioSpec) -> int:
             print("[" + ",\n".join(result.to_json() for result in results) + "]")
     else:
         for spec, result in zip(specs, results):
-            _print_run_outcome(spec, result, runner, cache_dir)
+            _print_run_outcome(spec, result, runner)
     return 3 if any(result.failures for result in results) else 0
 
 
@@ -1077,7 +1065,7 @@ def _cmd_fleet(args, spec) -> int:
         if args.json:
             print(result.to_json())
         else:
-            _print_run_outcome(spec, result, runner, cache.directory)
+            _print_run_outcome(spec, result, runner)
         return 3 if result.failures else 0
     if args.fleet_command == "status":
         status = campaign_status(cache, spec)

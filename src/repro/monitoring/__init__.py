@@ -3,8 +3,9 @@
 The paper's methodology deliberately consumes only the kind of coarse data
 that commodity monitoring tools emit.  This subpackage provides:
 
-* :mod:`~repro.monitoring.windows` — windowed accumulators for counts and for
-  time-weighted signals (busy time, queue length),
+* :mod:`~repro.monitoring.windows` — the repo's one window binner (also used
+  by :mod:`repro.service.streaming`) and buffered windowed accumulators for
+  counts and for time-weighted signals (busy time, queue length),
 * :mod:`~repro.monitoring.collector` — per-server monitors that turn raw
   simulation events into utilisation / completion-count / queue-length series
   at a configurable granularity,

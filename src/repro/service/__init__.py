@@ -25,7 +25,6 @@ from repro.service.streaming import (
     TraceChunkReader,
     WindowSnapshot,
     WindowedTraceAccumulator,
-    bin_trace_windows,
     read_trace_chunk,
     synthesize_service_trace,
     write_trace_records,
@@ -44,7 +43,6 @@ __all__ = [
     "WhatIfService",
     "WindowSnapshot",
     "WindowedTraceAccumulator",
-    "bin_trace_windows",
     "read_trace_chunk",
     "synthesize_service_trace",
     "write_trace_records",

@@ -33,9 +33,12 @@ that.  16 bytes per event, no header — a file can be appended to while a
 reader tails it, and a partial trailing record (a writer mid-append) is
 simply not consumed yet.
 
-Window semantics match :mod:`repro.monitoring.windows`: window ``k`` covers
-``[k*W, (k+1)*W)`` ticks, half-open, and a completion exactly on a boundary
-opens the *next* window.
+Binning is not done here: the accumulator bins each chunk with
+:func:`repro.monitoring.windows.bin_intervals` (busy ticks) and
+:func:`~repro.monitoring.windows.bin_points` (completions), the repo's one
+window binner, which keeps the ``int64`` dtype of the ticks.  Window ``k``
+covers ``[k*W, (k+1)*W)`` ticks, half-open, and a completion exactly on a
+boundary opens the *next* window.
 """
 
 from __future__ import annotations
@@ -47,13 +50,13 @@ import numpy as np
 
 from repro.core.dispersion import DispersionEstimate, estimate_index_of_dispersion
 from repro.core.percentiles import estimate_service_percentile
+from repro.monitoring.windows import bin_intervals, bin_points
 
 __all__ = [
     "RECORD_BYTES",
     "TraceChunkReader",
     "WindowSnapshot",
     "WindowedTraceAccumulator",
-    "bin_trace_windows",
     "read_trace_chunk",
     "synthesize_service_trace",
     "write_trace_records",
@@ -167,54 +170,6 @@ class TraceChunkReader:
             if chunk.shape[0] == 0:
                 return
             yield chunk
-
-
-# ----------------------------------------------------------------------
-# Exact windowed binning
-# ----------------------------------------------------------------------
-def bin_trace_windows(
-    starts: np.ndarray, durations: np.ndarray, window_ticks: int, num_windows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact int64 per-window (busy ticks, completion counts) of one batch.
-
-    Busy time is split across the windows the interval ``[start, end)``
-    overlaps (integer tick arithmetic, exact); the completion is counted in
-    window ``end // W`` (half-open convention: a completion exactly on a
-    boundary opens the next window).  ``num_windows`` sizes the output; it
-    must cover every touched window.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    durations = np.asarray(durations, dtype=np.int64)
-    window = int(window_ticks)
-    busy = np.zeros(num_windows, dtype=np.int64)
-    completions = np.zeros(num_windows, dtype=np.int64)
-    if starts.size == 0:
-        return busy, completions
-    ends = starts + durations
-    np.add.at(completions, ends // window, 1)
-    w_first = starts // window
-    # Last window holding busy mass: the one containing tick end-1 (empty
-    # intervals keep w_last == w_first and contribute zero below).
-    w_last = np.maximum((ends - 1) // window, w_first)
-    span = w_last - w_first
-    single = span == 0
-    np.add.at(busy, w_first[single], durations[single])
-    multi = ~single
-    if np.any(multi):
-        np.add.at(busy, w_first[multi], (w_first[multi] + 1) * window - starts[multi])
-        np.add.at(busy, w_last[multi], ends[multi] - w_last[multi] * window)
-        mid = span >= 2
-        if np.any(mid):
-            counts = (span[mid] - 1).astype(np.intp)
-            total = int(counts.sum())
-            # Flatten the per-event ranges w_first+1 .. w_last-1 without a
-            # Python loop: event index repeated per middle window, plus the
-            # position within the event's own range.
-            event_of = np.repeat(np.arange(counts.size), counts)
-            within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-            indices = (w_first[mid] + 1)[event_of] + within
-            np.add.at(busy, indices, window)
-    return busy, completions
 
 
 @dataclass(frozen=True)
@@ -354,11 +309,8 @@ class WindowedTraceAccumulator:
         max_end = int(ends.max())
         needed = int(max(max_end // self.window_ticks, (max_end - 1) // self.window_ticks)) + 1
         self._grow(needed)
-        busy, completions = bin_trace_windows(
-            starts, durations, self.window_ticks, needed
-        )
-        self._busy[:needed] += busy
-        self._completions[:needed] += completions
+        bin_intervals(starts, ends, self.window_ticks, needed, out=self._busy)
+        bin_points(ends, self.window_ticks, needed, out=self._completions)
         self.events += int(starts.size)
         self.max_end_ticks = max(self.max_end_ticks, max_end)
         return int(starts.size)

@@ -56,12 +56,12 @@ def trace_spec(name="trace_artifacts") -> ScenarioSpec:
     )
 
 
-def analytic_spec(name="legacy_analytic") -> ScenarioSpec:
+def analytic_spec(name="analytic") -> ScenarioSpec:
     from repro.experiments import MapSpec, SyntheticWorkload
 
     return ScenarioSpec(
         name=name,
-        description="artifact-free scenario for legacy-format tests",
+        description="artifact-free scenario for code-fingerprint tests",
         workload=SyntheticWorkload(
             front=MapSpec(family="exponential", mean=0.05),
             db_mean=0.04,
@@ -266,18 +266,6 @@ class TestCacheRobustness:
         assert "treating unreadable cache manifest" in caplog.text
         rerun = runner.run(spec)
         assert not rerun.from_cache
-
-    def test_legacy_single_file_entry_is_a_logged_miss(self, tmp_path, caplog):
-        # The single-file format predates the solver-code fingerprint, so it
-        # cannot prove which kernels produced its numbers: never served.
-        spec = analytic_spec()
-        computed = ExperimentRunner(jobs=1).run(spec)
-        cache = ResultCache(tmp_path)
-        cache.directory.mkdir(parents=True, exist_ok=True)
-        cache.legacy_path(spec).write_text(computed.to_json())
-        with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
-            assert cache.load(spec) is None
-        assert "predates the solver-code fingerprint" in caplog.text
 
     def test_stale_code_fingerprint_is_a_logged_miss(self, tmp_path, caplog, monkeypatch):
         import repro.experiments.cache as cache_module

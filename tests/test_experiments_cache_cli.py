@@ -116,16 +116,6 @@ class TestCacheGc:
         assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
         assert not ResultCache(cache_dir).entries()
 
-    def test_gc_prunes_legacy_single_file_entries(self, warm_cache):
-        cache_dir, spec = warm_cache
-        runner = ExperimentRunner(jobs=1)
-        legacy = ResultCache(cache_dir).legacy_path(spec)
-        legacy.write_text(runner.run(spec).to_json())
-        assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
-        assert not legacy.exists()
-        # the fingerprinted run directory survives
-        assert [info.status for info in ResultCache(cache_dir).entries()] == ["complete"]
-
     def test_gc_never_touches_foreign_paths(self, tmp_path):
         # A mispointed --cache-dir (e.g. a source tree) must be a no-op:
         # only <scenario>-<16-hex-hash> names are cache entries.

@@ -13,7 +13,7 @@ from repro.queueing.bounds import asymptotic_throughput_bounds, balanced_job_bou
 from repro.queueing.mva import mva_closed_network
 from repro.simulation.trace_queue import simulate_gtrace1
 from repro.traces.burstiness import impose_burstiness
-from repro.monitoring.windows import TimeWeightedWindows
+from repro.monitoring.windows import FLUSH_RECORDS, CountWindows, TimeWeightedWindows
 
 # Strategies ----------------------------------------------------------------
 
@@ -200,8 +200,6 @@ class TestWindowAccumulatorProperties:
         # floor(t_last / W) + 1 windows — which equals ceil(t_last / W)
         # except when t_last is exactly a window boundary (the event then
         # opens the next window under the half-open convention).
-        from repro.monitoring.windows import CountWindows
-
         accumulator = CountWindows(window)
         t_last = 0.0
         for step in steps:
@@ -212,3 +210,104 @@ class TestWindowAccumulatorProperties:
         expected = int(t_last // window) + 1
         assert series.shape == (expected,)
         assert series.sum() == pytest.approx(len(steps))
+
+
+# The per-record loop the buffered accumulators must reproduce bit for bit.
+def _reference_integrals(window, records):
+    integrals: list[float] = []
+    for start, end, value in records:
+        if value == 0.0 or end == start:
+            continue
+        first = int(start // window)
+        last = int(end // window)
+        if end == last * window:
+            last -= 1
+        if last >= len(integrals):
+            integrals.extend([0.0] * (last + 1 - len(integrals)))
+        if first == last:
+            integrals[first] += value * (end - start)
+            continue
+        integrals[first] += value * ((first + 1) * window - start)
+        for index in range(first + 1, last):
+            integrals[index] += value * window
+        integrals[last] += value * (end - last * window)
+    return np.asarray(integrals, dtype=float)
+
+
+def _reference_counts(window, events):
+    counts: list[float] = []
+    for time, amount in events:
+        index = int(time // window)
+        if index >= len(counts):
+            counts.extend([0.0] * (index + 1 - len(counts)))
+        counts[index] += amount
+    return np.asarray(counts, dtype=float)
+
+
+# Offsets in whole windows (landing exactly on boundaries) or arbitrary seconds.
+window_offsets = st.one_of(st.integers(min_value=0, max_value=4), st.floats(min_value=0.0, max_value=6.0))
+record_values = st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=50.0))
+
+
+def _bulk_records(bulk, seed, window):
+    """``bulk`` cheap back-to-back intervals, some zero-length or zero-valued."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.exponential(0.05 * window, bulk) * (rng.random(bulk) < 0.9)
+    values = rng.integers(0, 4, bulk).astype(float)
+    ends = np.cumsum(lengths)
+    return list(zip((ends - lengths).tolist(), ends.tolist(), values.tolist()))
+
+
+class TestBufferedWindowsMatchPerRecordLoop:
+    @given(
+        window=st.sampled_from([0.1, 0.15, 0.3, 1.0, 5.0]) | st.floats(min_value=0.01, max_value=10.0),
+        bulk=st.sampled_from([0, FLUSH_RECORDS - 2, FLUSH_RECORDS + 3]),
+        seed=st.integers(min_value=0, max_value=1000),
+        steps=st.lists(st.tuples(window_offsets, window_offsets, record_values), max_size=20),
+        split=st.integers(min_value=0, max_value=FLUSH_RECORDS + 30),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(window=0.1, bulk=0, seed=0, steps=[(0, 3, 1.0)], split=0)  # end 3*0.1 is a boundary
+    def test_time_weighted(self, window, bulk, seed, steps, split):
+        records = _bulk_records(bulk, seed, window)
+        clock = records[-1][1] if records else 0.0
+        for gap, length, value in steps:
+            start = clock + (gap * window if isinstance(gap, int) else gap)
+            end = start + (length * window if isinstance(length, int) else length)
+            records.append((start, end, value))
+            clock = end
+        accumulator = TimeWeightedWindows(window)
+        for position, (start, end, value) in enumerate(records):
+            if position == split:
+                accumulator.series()  # flushes mid-stream
+            accumulator.record(start, end, value)
+        expected = _reference_integrals(window, records)
+        got = accumulator.series(normalize=False)
+        assert got.shape == expected.shape and np.array_equal(got, expected)
+        horizon = clock + window
+        padded = accumulator.series(horizon=horizon)
+        assert padded.size == max(expected.size, int(np.ceil(horizon / window)))
+        assert np.array_equal(padded[: expected.size], expected / window)
+
+    @given(
+        window=st.sampled_from([0.1, 0.15, 1.0, 5.0]) | st.floats(min_value=0.01, max_value=10.0),
+        bulk=st.sampled_from([0, FLUSH_RECORDS - 2, FLUSH_RECORDS + 3]),
+        seed=st.integers(min_value=0, max_value=1000),
+        steps=st.lists(st.tuples(window_offsets, record_values), max_size=20),
+        split=st.integers(min_value=0, max_value=FLUSH_RECORDS + 30),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_count(self, window, bulk, seed, steps, split):
+        events = [(end, value) for _, end, value in _bulk_records(bulk, seed, window)]
+        clock = events[-1][0] if events else 0.0
+        for offset, amount in steps:
+            clock += offset * window if isinstance(offset, int) else offset
+            events.append((clock, amount))
+        accumulator = CountWindows(window)
+        for position, (time, amount) in enumerate(events):
+            if position == split:
+                accumulator.series()
+            accumulator.record(time, amount)
+        expected = _reference_counts(window, events)
+        got = accumulator.series()
+        assert got.shape == expected.shape and np.array_equal(got, expected)

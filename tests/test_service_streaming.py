@@ -8,11 +8,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.monitoring.windows import bin_intervals, bin_points
 from repro.service import (
     RECORD_BYTES,
     TraceChunkReader,
     WindowedTraceAccumulator,
-    bin_trace_windows,
     read_trace_chunk,
     synthesize_service_trace,
     write_trace_records,
@@ -28,28 +28,39 @@ def _records(starts, durations):
 # ----------------------------------------------------------------------
 # Binning semantics
 # ----------------------------------------------------------------------
+def _bin_trace(starts, durations, window_ticks, num_windows):
+    """(busy ticks, completions) per window, as the accumulator bins a chunk."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = starts + np.asarray(durations, dtype=np.int64)
+    return (
+        bin_intervals(starts, ends, window_ticks, num_windows),
+        bin_points(ends, window_ticks, num_windows),
+    )
+
+
 class TestBinTraceWindows:
     def test_single_window_event(self):
-        busy, completions = bin_trace_windows([3], [4], window_ticks=10, num_windows=2)
+        busy, completions = _bin_trace([3], [4], window_ticks=10, num_windows=2)
         assert busy.tolist() == [4, 0]
         assert completions.tolist() == [1, 0]  # completes at tick 7 -> window 0
 
     def test_completion_on_boundary_opens_next_window(self):
         # End exactly at tick 10: busy stays in window 0, completion counts
         # in window 1 (half-open convention of repro.monitoring.windows).
-        busy, completions = bin_trace_windows([6], [4], window_ticks=10, num_windows=2)
+        busy, completions = _bin_trace([6], [4], window_ticks=10, num_windows=2)
         assert busy.tolist() == [4, 0]
         assert completions.tolist() == [0, 1]
 
     def test_spanning_event_splits_exactly(self):
         # [7, 35) over W=10: 3 ticks in w0, 10 in w1, 10 in w2, 5 in w3.
-        busy, completions = bin_trace_windows([7], [28], window_ticks=10, num_windows=4)
+        busy, completions = _bin_trace([7], [28], window_ticks=10, num_windows=4)
         assert busy.tolist() == [3, 10, 10, 5]
         assert completions.tolist() == [0, 0, 0, 1]
         assert busy.sum() == 28
+        assert busy.dtype == completions.dtype == np.int64
 
     def test_zero_duration_event(self):
-        busy, completions = bin_trace_windows([10], [0], window_ticks=10, num_windows=2)
+        busy, completions = _bin_trace([10], [0], window_ticks=10, num_windows=2)
         assert busy.tolist() == [0, 0]
         assert completions.tolist() == [0, 1]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,32 @@ class TestTestbedBasics:
             TestbedConfig(mix=BROWSING_MIX, num_ebs=10, think_time=0.0)
         with pytest.raises(ValueError):
             TestbedConfig(mix=BROWSING_MIX, num_ebs=10, tracked_transactions=("Nope",))
+
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (1, "95c5fb150a796f80cc074e43a133e36c301550ff1c37e2e4b8af7c8087c46a71"),
+            (2, "3ce1264629b3534380f998e5b8e3ee6f28ca0cb594a2f9ec89d6c9c01203e2fa"),
+        ],
+    )
+    def test_monitoring_series_are_pinned_bit_for_bit(self, seed, expected):
+        # SHA-256 of every monitoring array of a short run, recorded from the
+        # per-record window loop: the buffered binner must reproduce it.
+        config = TestbedConfig(
+            mix=BROWSING_MIX, num_ebs=50, duration=120.0, warmup=20.0, seed=seed
+        )
+        result = TPCWTestbed(config).run()
+        digest = hashlib.sha256()
+        for series in (result.front, result.database):
+            for array in (series.utilization, series.queue_length, series.completions):
+                digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        for name in sorted(result.tracked_in_system):
+            digest.update(name.encode())
+            digest.update(
+                np.ascontiguousarray(result.tracked_in_system[name], dtype="<f8").tobytes()
+            )
+        assert digest.hexdigest() == expected
 
 
 class TestMixDifferences:
