@@ -20,6 +20,20 @@ two-phase hyper-exponential (so the mean is matched exactly and the 95th
 percentile is controlled by the SCV and the branch-probability parameters)
 while the stickiness of the phase chain controls the index of dispersion
 independently of the marginal.
+
+That family has a closed-form index of dispersion,
+
+    I = SCV + (SCV - 1) * decay / (1 - decay),
+
+which does not depend on the branch probability.  The fit evaluates it for
+the whole grid in numpy first and builds a :class:`MAP` only for candidates
+whose closed-form relative error is within the tolerance plus a margin of
+``1e-9`` (the closed form agrees with :meth:`MAP.index_of_dispersion` to about
+``1e-11`` relative).  The survivors then go through the matrix-based check,
+so the filter only skips candidates the matrix check would reject and the
+result is the same as scanning the full grid.  When nothing is feasible, only
+the candidates whose closed-form error is within the margin of the best
+constructible one are evaluated.
 """
 
 from __future__ import annotations
@@ -137,6 +151,17 @@ class FittedServiceProcess:
         }
 
 
+# Slack on the closed-form filter: the closed form and the matrix
+# ``index_of_dispersion()`` agree to ~1e-11 relative on the candidate grid.
+CLOSED_FORM_MARGIN = 1e-9
+
+
+def _closed_form_dispersion(scv, decay):
+    """Index of dispersion of the correlated hyper-exponential MAP(2)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return scv + (scv - 1.0) * decay / (1.0 - decay)
+
+
 def candidate_grid(
     target_dispersion: float,
     scv_values=None,
@@ -232,70 +257,95 @@ def fit_map2_from_measurements(
         )
 
     grid = candidate_grid(index_of_dispersion, scv_values, decay_values, branch_probabilities)
-    feasible: list[tuple[float, float, float, float, float | None, MAP]] = []
-    considered = 0
-    for scv, decay, p1 in grid:
-        considered += 1
+    closed_form = _closed_form_dispersion(
+        np.array([scv for scv, _, _ in grid]), np.array([decay for _, decay, _ in grid])
+    )
+    closed_form_errors = np.abs(closed_form - index_of_dispersion) / index_of_dispersion
+
+    def build(index):
+        """``(achieved_i, scv, decay, relative_error, p1, MAP)``, or None."""
+        scv, decay, p1 = grid[index]
         try:
             candidate = map2_from_moments_and_decay(mean, scv, decay, p1)
         except ValueError:
-            continue
+            return None
         achieved_i = candidate.index_of_dispersion()
-        if achieved_i <= 0:
-            continue
         relative_error = abs(achieved_i - index_of_dispersion) / index_of_dispersion
-        if relative_error > dispersion_tolerance:
+        return (achieved_i, scv, decay, relative_error, p1, candidate)
+
+    feasible: list[tuple[float, float, float, float, float | None, MAP]] = []
+    # ``not >`` keeps a NaN closed form, whose candidate then fails to build.
+    for index in np.flatnonzero(
+        ~(closed_form_errors > dispersion_tolerance + CLOSED_FORM_MARGIN)
+    ):
+        entry = build(index)
+        if entry is None or entry[0] <= 0 or entry[3] > dispersion_tolerance:
             continue
-        feasible.append((achieved_i, scv, decay, relative_error, p1, candidate))
+        feasible.append(entry)
 
     if not feasible:
         # Fall back to the candidate with the closest achievable dispersion:
         # better an approximate model than none (this only happens for very
-        # small tolerance values or extreme targets).
+        # small tolerance values or extreme targets).  Candidates are tried
+        # by increasing closed-form error until no untried one can come
+        # within the margin of the best matrix error; the first strict
+        # minimum in grid order among the tried ones is the full scan's pick.
+        tried = {}
+        best_error = np.inf
+        for index in np.argsort(closed_form_errors, kind="stable"):
+            if closed_form_errors[index] > best_error + CLOSED_FORM_MARGIN:
+                break
+            entry = build(index)
+            if entry is not None:
+                tried[index] = entry
+                best_error = min(best_error, entry[3])
         best = None
         best_error = np.inf
-        for scv, decay, p1 in grid:
-            try:
-                candidate = map2_from_moments_and_decay(mean, scv, decay, p1)
-            except ValueError:
-                continue
-            achieved_i = candidate.index_of_dispersion()
-            relative_error = abs(achieved_i - index_of_dispersion) / index_of_dispersion
-            if relative_error < best_error:
-                best_error = relative_error
-                best = (achieved_i, scv, decay, relative_error, p1, candidate)
+        for index in sorted(tried):
+            if tried[index][3] < best_error:
+                best_error = tried[index][3]
+                best = tried[index]
         if best is None:
             raise MapFitError(
                 "no feasible MAP(2) candidate could be constructed",
                 target_mean=mean,
                 target_dispersion=index_of_dispersion,
                 target_p95=p95,
-                candidates_considered=considered,
+                candidates_considered=len(grid),
                 nearest=None,
             )
         feasible = [best]
 
-    def selection_key(entry):
-        achieved_i, scv, decay, relative_error, p1, candidate = entry
+    # Each candidate's p95 is computed once, for the key and the result.
+    percentiles = [
+        None if p95 is None else candidate.interarrival_percentile(0.95)
+        for *_, candidate in feasible
+    ]
+
+    def selection_key(position):
+        relative_error, candidate = feasible[position][3], feasible[position][5]
         if p95 is None:
             p95_error = relative_error
         else:
-            p95_error = abs(candidate.interarrival_percentile(0.95) - p95) / p95
+            p95_error = abs(percentiles[position] - p95) / p95
         # Ties broken by the largest lag-1 autocorrelation (conservative fit).
         return (p95_error, -candidate.autocorrelation(1))
 
-    best_entry = min(feasible, key=selection_key)
-    achieved_i, scv, decay, _, p1, chosen = best_entry
+    chosen_position = min(range(len(feasible)), key=selection_key)
+    achieved_i, scv, decay, _, p1, chosen = feasible[chosen_position]
+    achieved_p95 = percentiles[chosen_position]
+    if achieved_p95 is None:
+        achieved_p95 = chosen.interarrival_percentile(0.95)
     return FittedServiceProcess(
         map=chosen,
         mean=mean,
         target_dispersion=index_of_dispersion,
         achieved_dispersion=achieved_i,
         target_p95=p95,
-        achieved_p95=chosen.interarrival_percentile(0.95),
+        achieved_p95=achieved_p95,
         scv=scv,
         decay=decay,
         branch_probability=p1,
-        candidates_considered=considered,
+        candidates_considered=len(grid),
         candidates_feasible=len(feasible),
     )

@@ -133,6 +133,11 @@ class MAP:
         return _stationary_of_generator(self.generator)
 
     @cached_property
+    def _inverse_minus_d0(self) -> np.ndarray:
+        """``(-D0)^{-1}``, shared by the moment and correlation formulas."""
+        return np.linalg.inv(-self.D0)
+
+    @cached_property
     def embedded_transition_matrix(self) -> np.ndarray:
         """Stochastic matrix ``P = (-D0)^{-1} D1`` embedded at event epochs."""
         return np.linalg.solve(-self.D0, self.D1)
@@ -154,7 +159,7 @@ class MAP:
         """k-th raw moment of the stationary inter-event time."""
         if k < 1:
             raise ValueError("moment order must be >= 1")
-        inv = np.linalg.inv(-self.D0)
+        inv = self._inverse_minus_d0
         vector = self.embedded_stationary.copy()
         factorial = 1
         for i in range(k):
@@ -187,7 +192,7 @@ class MAP:
         """Joint moment ``E[X_0 * X_lag]`` of inter-event times ``lag`` apart."""
         if lag < 1:
             raise ValueError("lag must be >= 1")
-        inv = np.linalg.inv(-self.D0)
+        inv = self._inverse_minus_d0
         P = self.embedded_transition_matrix
         ones = np.ones(self.order)
         return float(
@@ -234,7 +239,7 @@ class MAP:
         n = self.order
         ones = np.ones(n)
         Z = np.linalg.inv(np.eye(n) - P + np.outer(ones, pi))
-        inv = np.linalg.inv(-self.D0)
+        inv = self._inverse_minus_d0
         m1 = self.moment(1)
         variance = self.variance()
         if variance <= 0:

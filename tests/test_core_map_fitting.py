@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
+import numpy as np
 import pytest
 
-from repro.core.map_fitting import FittedServiceProcess, candidate_grid, fit_map2_from_measurements
+from repro.core.map_fitting import (
+    FittedServiceProcess,
+    _closed_form_dispersion,
+    candidate_grid,
+    fit_map2_from_measurements,
+)
 from repro.maps import map2_from_moments_and_decay
 
 
@@ -133,3 +142,49 @@ class TestMapFitError:
         from repro.core.map_fitting import MapFitError
 
         assert exported is MapFitError
+
+
+class TestClosedFormDispersion:
+    @pytest.mark.parametrize("target_i", [1.5, 3.0, 40.0, 150.0, 400.0, 1000.0])
+    def test_matches_matrix_index_of_dispersion(self, target_i):
+        # The grid filter drops candidates on the closed form with a 1e-9
+        # margin, so it must agree with the matrix value far inside that.
+        checked = 0
+        for scv, decay, p1 in candidate_grid(target_i):
+            try:
+                candidate = map2_from_moments_and_decay(1.0, scv, decay, p1)
+            except ValueError:
+                continue
+            closed_form = _closed_form_dispersion(scv, decay)
+            assert closed_form == pytest.approx(candidate.index_of_dispersion(), rel=1e-10)
+            checked += 1
+        assert checked > 0
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize(
+        "mean, target_i, p95, tolerance, expected",
+        [
+            (0.01, 40.0, None, 0.2, "4fdc4c26f14dc99fc1819e56511d2191b28d1eab793a16afebef7bd63e04f6bf"),
+            (1.0, 30.0, 4.0, 0.2, "81302f87cc576a7b80f9a36dfe8dc2fd2595bf93f9e9225d1e4a3cb8f8c40015"),
+            (0.05, 3.0, 0.2, 0.2, "7f0247e3dfe90a224c0e30dab1a0efc7b24221841865d3db84d15c4d8e16c4f4"),
+            (2.0, 150.0, 10.0, 0.2, "4e32bc6db119f27834fd587c0f8e218d466bb914b27e262cb2702b046ec56ca7"),
+            (1e-4, 400.0, None, 0.2, "584a6e101e4342a25148c088a50d22604ada9eb642e5ab7414731122e885b517"),
+            (0.02, 1.000001, None, 0.2, "0f15662442019bcf00fbe9ba18ed6d569d83c3d06d5285a1e223c4883504bd2b"),
+            (0.003, 1000.0, 0.05, 0.2, "88d1483c78d4895ec98578fbf8b722c19803822a7d82157847cd481103766f7a"),
+            (5.0, 75.0, 20.0, 0.2, "a29153a769e977da52b6c6753b918fe531bfa8367c01aa347a1481ba51248ac3"),
+            (1.0, 37.7, None, 1e-6, "1066c2877a459c45cccf4cb67d5fc06b698d6994c5da820d33d5e0f9806547e7"),
+            (0.5, 13.3, 1.5, 1e-6, "57f79863f94609b6b1ca0c596b2cee600abdc0ca08b1116b27597bb67521c918"),
+        ],
+    )
+    def test_fit_is_pinned_bit_for_bit(self, mean, target_i, p95, tolerance, expected):
+        # SHA-256 of every field's repr plus the D0/D1 bytes, recorded from
+        # the full-grid scan: the closed-form filter must reproduce it.
+        fit = fit_map2_from_measurements(mean, target_i, p95, dispersion_tolerance=tolerance)
+        digest = hashlib.sha256()
+        for field in dataclasses.fields(FittedServiceProcess):
+            if field.name != "map":
+                digest.update(repr(getattr(fit, field.name)).encode())
+        digest.update(np.ascontiguousarray(fit.map.D0, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(fit.map.D1, dtype="<f8").tobytes())
+        assert digest.hexdigest() == expected

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.map_fitting import (
+    FittedServiceProcess,
+    candidate_grid,
+    fit_map2_from_measurements,
+)
 from repro.maps.map2 import map2_from_moments_and_decay
 from repro.maps.ph import hyperexp_rates_from_moments, hyperexponential_ph
 from repro.queueing.bounds import asymptotic_throughput_bounds, balanced_job_bounds
@@ -58,6 +65,85 @@ class TestMap2Properties:
         process = map2_from_moments_and_decay(mean, scv, decay)
         rho1 = process.autocorrelation(1)
         assert -1e-9 <= rho1 <= 0.5 + 1e-9  # two-phase MAPs cannot exceed 0.5
+
+
+def _reference_fit(mean, index_of_dispersion, p95, dispersion_tolerance):
+    """The full-grid scan: every candidate built and checked by its matrix I."""
+    grid = candidate_grid(index_of_dispersion)
+    feasible = []
+    considered = 0
+    for scv, decay, p1 in grid:
+        considered += 1
+        try:
+            candidate = map2_from_moments_and_decay(mean, scv, decay, p1)
+        except ValueError:
+            continue
+        achieved_i = candidate.index_of_dispersion()
+        if achieved_i <= 0:
+            continue
+        relative_error = abs(achieved_i - index_of_dispersion) / index_of_dispersion
+        if relative_error > dispersion_tolerance:
+            continue
+        feasible.append((achieved_i, scv, decay, relative_error, p1, candidate))
+    if not feasible:
+        best = None
+        best_error = np.inf
+        for scv, decay, p1 in grid:
+            try:
+                candidate = map2_from_moments_and_decay(mean, scv, decay, p1)
+            except ValueError:
+                continue
+            achieved_i = candidate.index_of_dispersion()
+            relative_error = abs(achieved_i - index_of_dispersion) / index_of_dispersion
+            if relative_error < best_error:
+                best_error = relative_error
+                best = (achieved_i, scv, decay, relative_error, p1, candidate)
+        feasible = [best]
+
+    def selection_key(entry):
+        achieved_i, scv, decay, relative_error, p1, candidate = entry
+        if p95 is None:
+            p95_error = relative_error
+        else:
+            p95_error = abs(candidate.interarrival_percentile(0.95) - p95) / p95
+        return (p95_error, -candidate.autocorrelation(1))
+
+    achieved_i, scv, decay, _, p1, chosen = min(feasible, key=selection_key)
+    return FittedServiceProcess(
+        map=chosen,
+        mean=mean,
+        target_dispersion=index_of_dispersion,
+        achieved_dispersion=achieved_i,
+        target_p95=p95,
+        achieved_p95=chosen.interarrival_percentile(0.95),
+        scv=scv,
+        decay=decay,
+        branch_probability=p1,
+        candidates_considered=considered,
+        candidates_feasible=len(feasible),
+    )
+
+
+class TestClosedFormFitMatchesFullGrid:
+    @given(
+        mean=st.floats(min_value=-4.0, max_value=1.0).map(lambda e: 10.0**e),
+        target_i=st.floats(min_value=np.log10(1.01), max_value=3.0).map(lambda e: 10.0**e),
+        p95_factor=st.none() | st.floats(min_value=0.2, max_value=20.0),
+        tolerance=st.sampled_from([0.2, 0.05, 1e-6]),
+    )
+    @example(mean=1.0, target_i=37.7, p95_factor=None, tolerance=1e-6)
+    @example(mean=1e-4, target_i=1.01, p95_factor=3.0, tolerance=0.2)
+    @example(mean=10.0, target_i=1000.0, p95_factor=1.0, tolerance=1e-6)
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_field_is_identical(self, mean, target_i, p95_factor, tolerance):
+        p95 = None if p95_factor is None else mean * p95_factor
+        fit = fit_map2_from_measurements(mean, target_i, p95, dispersion_tolerance=tolerance)
+        reference = _reference_fit(mean, target_i, p95, tolerance)
+        for field in dataclasses.fields(FittedServiceProcess):
+            if field.name != "map":
+                assert getattr(fit, field.name) == getattr(reference, field.name), field.name
+        assert np.array_equal(fit.map.D0, reference.map.D0)
+        assert np.array_equal(fit.map.D1, reference.map.D1)
 
 
 class TestMVAProperties:
