@@ -45,18 +45,31 @@ population's operator the same cached local blocks — population sweeps pay
 the per-population setup (exit diagonal, block inverses, coarse hierarchy)
 but never re-derive the Kronecker structure.
 
-The ``REPRO_SOLVER_THREADS`` environment variable chunks the per-family
-``(blocks, K) @ (K, K)`` GEMMs of the matvecs across a thread pool.
-**Determinism contract**: within every family the source-to-destination
-block map is injective, so each output row is written by exactly one chunk
-and the floating-point result is bit-identical for *every* thread count
-(threads = 1, the default, additionally runs the unchunked original code
-path).  The knob is read once per operator at construction time.
+Every transition family is a fixed ``(n_front, n_db)`` shift, and blocks are
+numbered ``n_front``-major, so each family maps a contiguous run of one
+``n_front`` row onto a contiguous run of a neighbouring row (think
+completions onto row ``n_front + 1``, front completions onto row
+``n_front - 1``, database completions and the hidden jumps within the row).
+The matvecs therefore run one contiguous ``(blocks, K) @ (K, K)`` GEMM per
+family and add it back with ``population + 1`` row-slice ``+=`` (or one
+shifted slice for the within-row families) — no gather or scatter of
+block-index arrays per Krylov iteration.  The families are added in a fixed
+order (exit, think, front, front hidden, db, db hidden), so every element's
+sum is the same one the materialized Kronecker structure defines.
+
+A balance diagonal block depends only on its server gate
+``(n_front > 0, n_db > 0)`` and station population ``n_front + n_db``
+(equivalently, the thinking count), and the block carrying the
+normalisation row is the only one with its pair, so
+:meth:`MatrixFreeGenerator.diagonal_block_inverses` inverts only the distinct
+blocks — at most ``4 (population + 1)`` ``K x K`` matrices — and hands the
+sweeps a small inverse table plus a per-block kind index.  Within each sweep
+step the kinds run contiguously through the table, and the ``nf`` sweep
+transposes its residual once into ``n_db``-major order, so no sweep gathers
+either.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import scipy.sparse.linalg as sparse_linalg
@@ -70,8 +83,6 @@ __all__ = [
     "LevelSweepPreconditioner",
     "MultilevelPreconditioner",
     "PRECONDITIONER_MODES",
-    "THREADS_ENV_VAR",
-    "solver_thread_count",
 ]
 
 #: Level-sweep orientations understood by :class:`LevelSweepPreconditioner`:
@@ -81,35 +92,6 @@ __all__ = [
 #: population diagonal (backward in ``n_front``, exact on front completions),
 #: and ``alternating`` composes ``ndb`` then ``nf`` multiplicatively.
 PRECONDITIONER_MODES = ("alternating", "nf", "ndb", "front")
-
-#: Environment variable with the matvec GEMM worker-thread count (default 1).
-THREADS_ENV_VAR = "REPRO_SOLVER_THREADS"
-
-#: Don't bother splitting a family across threads below this many blocks per
-#: chunk — the dispatch overhead would exceed the GEMM.
-_MIN_BLOCKS_PER_CHUNK = 4_096
-
-
-def solver_thread_count(override: int | str | None = None) -> int:
-    """Worker threads for the chunked matvec GEMMs (default 1).
-
-    ``override`` (or the ``REPRO_SOLVER_THREADS`` environment variable, in
-    that precedence order) sets the count; empty/unset means single-threaded.
-    Results are bit-identical for every value — see the module docstring's
-    determinism contract.
-    """
-    raw = override if override is not None else os.environ.get(THREADS_ENV_VAR)
-    if raw is None or str(raw).strip() == "":
-        return 1
-    try:
-        count = int(str(raw).strip())
-    except ValueError:
-        raise ValueError(
-            f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}"
-        ) from None
-    if count < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {raw!r}")
-    return count
 
 
 class MatrixFreeGenerator:
@@ -153,39 +135,31 @@ class MatrixFreeGenerator:
         self._has_front_hidden = bool(self._front_hidden.any())
         self._has_db_hidden = bool(self._db_hidden.any())
 
-        offsets = space.block_offset
-        n_front = space.block_n_front
         n_db = space.block_n_db
-        blocks = np.arange(space.num_blocks)
-        thinking = space.population - n_front - n_db
-
-        # Per-family block index arrays (source -> destination is injective
-        # within each family, so scattered adds never collide).
-        self._think_src = blocks[thinking > 0]
-        self._think_dest = offsets[n_front[self._think_src] + 1] + n_db[self._think_src]
-        self._think_rates = thinking[self._think_src] * self.think_rate
-        self._front_src = blocks[n_front > 0]
-        self._front_dest = (
-            offsets[n_front[self._front_src] - 1] + n_db[self._front_src] + 1
-        )
-        self._db_src = blocks[n_db > 0]
-        self._db_dest = self._db_src - 1
+        thinking = space.population - space.block_n_front - n_db
+        #: Row ``n_front`` is blocks ``offsets[n_front]:offsets[n_front + 1]``
+        #: (Python ints: the matvecs slice with them every iteration).
+        self._offsets = space.block_offset.tolist()
+        #: Per-block think rate ``thinking * think_rate`` (zero when nobody
+        #: thinks).
+        self._think_rates = thinking * self.think_rate
+        #: First and last block of every row: the blocks a within-row shift
+        #: (database completion) has no partner for.
+        self._row_first = space.block_offset[:-1]
+        self._row_last = space.block_offset[1:] - 1
 
         # Exit rates (the negated generator diagonal), per block and phase.
         front_exit = (d1_front + hidden_front).sum(axis=1)
         db_exit = (d1_db + hidden_db).sum(axis=1)
         K = space.block_size
-        exit_rate = np.multiply.outer(thinking * self.think_rate, np.ones(K))
-        exit_rate[self._front_src] += np.repeat(front_exit, space.k_db)[None, :]
-        exit_rate[self._db_src] += np.tile(db_exit, space.k_front)[None, :]
+        exit_rate = np.multiply.outer(self._think_rates, np.ones(K))
+        exit_rate[self._offsets[1] :] += np.repeat(front_exit, space.k_db)[None, :]
+        exit_rate[n_db > 0] += np.tile(db_exit, space.k_front)[None, :]
         self._exit_rate = exit_rate  # (num_blocks, K)
         #: Largest total exit rate — the residual-validation scale, identical
         #: in meaning to ``max |diag(Q)|`` of the materialized generator.
         self.rate_scale = float(exit_rate.max()) if exit_rate.size else 0.0
-        self._inverse_blocks_cache: np.ndarray | None = None
-        #: Matvec GEMM worker threads (``REPRO_SOLVER_THREADS``, default 1).
-        self.num_threads = solver_thread_count()
-        self._executor = None
+        self._inverse_table_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -219,81 +193,56 @@ class MatrixFreeGenerator:
             self.space.num_blocks, self.space.block_size
         )
 
-    def _chunks(self, size: int) -> list[slice] | None:
-        """Block-axis slices for the worker pool; ``None`` = run unchunked."""
-        if self.num_threads == 1 or size < 2 * _MIN_BLOCKS_PER_CHUNK:
-            return None
-        step = max(_MIN_BLOCKS_PER_CHUNK, -(-size // self.num_threads))
-        return [slice(start, min(start + step, size)) for start in range(0, size, step)]
-
-    def _pool(self):
-        if self._executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._executor = ThreadPoolExecutor(
-                max_workers=self.num_threads, thread_name_prefix="repro-solver"
-            )
-        return self._executor
-
-    def _scatter_gemm(self, yb, dest, xb, src, local) -> None:
-        """``yb[dest] += xb[src] @ local``, chunked over the block axis.
-
-        ``dest`` is duplicate-free within every family, so each output row is
-        written by exactly one chunk and the result is independent of the
-        chunking — bit-identical for every thread count.
-        """
-        chunks = self._chunks(dest.size)
-        if chunks is None:
-            yb[dest] += xb[src] @ local
-            return
-        run = lambda piece: yb.__setitem__(  # noqa: E731 - closure over yb
-            dest[piece], yb[dest[piece]] + xb[src[piece]] @ local
-        )
-        list(self._pool().map(run, chunks))
-
-    def _scatter_scaled(self, yb, dest, xb, src, rates) -> None:
-        """``yb[dest] += rates[:, None] * xb[src]`` with the same chunking."""
-        chunks = self._chunks(dest.size)
-        if chunks is None:
-            yb[dest] += rates[:, None] * xb[src]
-            return
-        run = lambda piece: yb.__setitem__(  # noqa: E731 - closure over yb
-            dest[piece], yb[dest[piece]] + rates[piece, None] * xb[src[piece]]
-        )
-        list(self._pool().map(run, chunks))
-
+    # The think and front families shift by a different block count in
+    # every row, so they are added back row by row.  A database completion
+    # shifts by one block within a row: it is added back as one shifted
+    # slice after the blocks without a partner in their row are set to
+    # -0.0, which leaves every sum bit-identical (x + -0.0 == x for every x,
+    # signed zeros included).
     def q_matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = Q x`` (rows = source states): one GEMM per family."""
         xb = self._as_blocks(x)
         yb = -self._exit_rate * xb
-        self._scatter_scaled(yb, self._think_src, xb, self._think_dest, self._think_rates)
-        self._scatter_gemm(
-            yb, self._front_src, xb, self._front_dest, self._front_completion.T
-        )
+        o = self._offsets
+        rows = range(self.space.population + 1)
+        for nf in rows[:-1]:  # think: (nf, ndb) -> (nf + 1, ndb)
+            row = slice(o[nf], o[nf + 1] - 1)
+            yb[row] += self._think_rates[row, None] * xb[o[nf + 1] : o[nf + 2]]
+        front = xb @ self._front_completion.T
+        for nf in rows[1:]:  # front completion: (nf, ndb) -> (nf - 1, ndb + 1)
+            yb[o[nf] : o[nf + 1]] += front[o[nf - 1] + 1 : o[nf]]
         if self._has_front_hidden:
-            self._scatter_gemm(
-                yb, self._front_src, xb, self._front_src, self._front_hidden.T
-            )
-        self._scatter_gemm(yb, self._db_src, xb, self._db_dest, self._db_completion.T)
+            yb[o[1] :] += xb[o[1] :] @ self._front_hidden.T
+        db = xb @ self._db_completion.T  # (nf, ndb) -> (nf, ndb - 1)
+        db[self._row_last] = -0.0
+        yb[1:] += db[:-1]
         if self._has_db_hidden:
-            self._scatter_gemm(yb, self._db_src, xb, self._db_src, self._db_hidden.T)
+            db_hidden = xb @ self._db_hidden.T
+            db_hidden[self._row_first] = -0.0
+            yb += db_hidden
         return yb.reshape(-1)
 
     def qt_matvec(self, x: np.ndarray) -> np.ndarray:
         """``y = Q^T x`` — equivalently ``x Q``, the balance-equation direction."""
         xb = self._as_blocks(x)
         yb = -self._exit_rate * xb
-        self._scatter_scaled(yb, self._think_dest, xb, self._think_src, self._think_rates)
-        self._scatter_gemm(
-            yb, self._front_dest, xb, self._front_src, self._front_completion
-        )
+        o = self._offsets
+        rows = range(self.space.population + 1)
+        think = self._think_rates[:, None] * xb
+        for nf in rows[:-1]:
+            yb[o[nf + 1] : o[nf + 2]] += think[o[nf] : o[nf + 1] - 1]
+        front = xb @ self._front_completion
+        for nf in rows[1:]:
+            yb[o[nf - 1] + 1 : o[nf]] += front[o[nf] : o[nf + 1]]
         if self._has_front_hidden:
-            self._scatter_gemm(
-                yb, self._front_src, xb, self._front_src, self._front_hidden
-            )
-        self._scatter_gemm(yb, self._db_dest, xb, self._db_src, self._db_completion)
+            yb[o[1] :] += xb[o[1] :] @ self._front_hidden
+        db = xb @ self._db_completion
+        db[self._row_first] = -0.0
+        yb[:-1] += db[1:]
         if self._has_db_hidden:
-            self._scatter_gemm(yb, self._db_src, xb, self._db_src, self._db_hidden)
+            db_hidden = xb @ self._db_hidden
+            db_hidden[self._row_first] = -0.0
+            yb += db_hidden
         return yb.reshape(-1)
 
     def balance_matvec(self, x: np.ndarray) -> np.ndarray:
@@ -339,20 +288,27 @@ class MatrixFreeGenerator:
     # ------------------------------------------------------------------
     # Shared preconditioner ingredients
     # ------------------------------------------------------------------
-    def diagonal_block_inverses(self) -> np.ndarray:
+    def diagonal_block_inverses(self) -> tuple[np.ndarray, np.ndarray]:
         """Inverses of the balance matrix's per-block ``K x K`` diagonal.
 
         The within-block part of ``A``: transposed hidden-jump Kronecker
         blocks gated by server occupancy, minus the exit-rate diagonal; the
         normalisation row overwrites the last local row of the final block.
-        Shared (and cached) across every sweep orientation.
+        A block depends only on its gate ``g = 2 (n_front > 0) + (n_db > 0)``
+        and station population ``s = n_front + n_db`` (the final block is the
+        only one with its ``(g, s)``), so only the distinct ones are inverted.
+        Returns ``(table, kind)``: ``table[kind[b]]`` is the inverse of block
+        ``b``, with ``kind = g (population + 1) + s``; unused table entries
+        stay zero.  Shared (and cached) across every sweep orientation.
         """
-        if self._inverse_blocks_cache is None:
+        if self._inverse_table_cache is None:
             space = self.space
             K = space.block_size
             gate = (space.block_n_front > 0).astype(np.intp) * 2 + (
                 space.block_n_db > 0
             ).astype(np.intp)
+            kind = gate * (space.population + 1) + space.block_n_front + space.block_n_db
+            present, first = np.unique(kind, return_index=True)
             variants = np.stack(
                 [
                     np.zeros((K, K)),
@@ -361,31 +317,34 @@ class MatrixFreeGenerator:
                     (self._front_hidden + self._db_hidden).T,
                 ]
             )
-            diagonal_blocks = variants[gate]
+            diagonal_blocks = variants[gate[first]]
             local = np.arange(K)
-            diagonal_blocks[:, local, local] -= self._exit_rate
-            diagonal_blocks[-1, K - 1, :] = 1.0  # the sum(pi) = 1 row
-            self._inverse_blocks_cache = np.linalg.inv(diagonal_blocks)
-        return self._inverse_blocks_cache
+            diagonal_blocks[:, local, local] -= self._exit_rate[first]
+            # The sum(pi) = 1 row.
+            diagonal_blocks[np.searchsorted(present, kind[-1]), K - 1, :] = 1.0
+            table = np.zeros((4 * (space.population + 1), K, K))
+            table[present] = np.linalg.inv(diagonal_blocks)
+            self._inverse_table_cache = (table, kind)
+        return self._inverse_table_cache
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     def materialized_nnz(self) -> int:
         """Exact nonzero count the materialized CSR generator would have."""
+        # Each family skips population + 1 blocks: those with thinking == 0
+        # (think), n_front == 0 (front) or n_db == 0 (db).
+        busy = self.space.num_blocks - (self.space.population + 1)
+        local = (
+            np.eye(self.space.block_size),
+            self._front_completion,
+            self._front_hidden,
+            self._db_completion,
+            self._db_hidden,
+        )
         return int(
             np.count_nonzero(self._exit_rate)
-            + self._think_src.size * self.space.block_size
-            + self._front_src.size
-            * (
-                np.count_nonzero(self._front_completion)
-                + np.count_nonzero(self._front_hidden)
-            )
-            + self._db_src.size
-            * (
-                np.count_nonzero(self._db_completion)
-                + np.count_nonzero(self._db_hidden)
-            )
+            + busy * sum(np.count_nonzero(block) for block in local)
         )
 
     def materialized_bytes_estimate(self) -> int:
@@ -428,60 +387,79 @@ class LevelSweepPreconditioner:
         self.operator = operator
         self.mode = mode
         self.space = operator.space
-        self._inverse_blocks = operator.diagonal_block_inverses()
+        table, _ = operator.diagonal_block_inverses()
+        #: ``_runs[g, s]``: inverse of the diagonal block with gate ``g`` and
+        #: station population ``s`` (see ``diagonal_block_inverses``).
+        self._runs = table.reshape(4, self.space.population + 1, *table.shape[1:])
+
+    def _solve_step(self, first_gate, rest_gate, station, rhs, out) -> None:
+        """``out = inverse(block) @ rhs`` over one sweep step's blocks.
+
+        A step holds the blocks at station populations ``station ..
+        population`` in order: the first has gate ``first_gate``, the rest
+        ``rest_gate``, so each part reads one contiguous run of the table.
+        """
+        first = self._runs[first_gate, station : station + 1]
+        out[:1] = np.matmul(first, rhs[:1, :, None])[:, :, 0]
+        out[1:] = np.matmul(self._runs[rest_gate, station + 1 :], rhs[1:, :, None])[:, :, 0]
 
     # ------------------------------------------------------------------
     def _solve_levels_nf(self, r_blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Exact solve of every fixed-``n_front`` level (backward in n_db)."""
-        space = self.space
-        offsets = space.block_offset
-        population = space.population
-        inverse = self._inverse_blocks
+        """Exact solve of every fixed-``n_front`` level (backward in n_db).
+
+        The residual is transposed once, row slice by row slice, into an
+        ``n_db``-major square whose row ``n_db`` holds the blocks of one
+        step; the solution overwrites it in place and is transposed back.
+        """
+        o = self.operator._offsets
+        population = self.space.population
         coupling = self.operator._db_completion
+        square = np.empty((population + 1, population + 1, r_blocks.shape[1]))
+        for n_front in range(population + 1):
+            width = population + 1 - n_front
+            square[:width, n_front] = r_blocks[o[n_front] : o[n_front] + width]
         for n_db in range(population, -1, -1):
-            ids = offsets[: population - n_db + 1] + n_db
-            rhs = r_blocks[ids]
+            rhs = square[n_db, : population - n_db + 1]
             if n_db < population:
-                rhs[:-1] -= out[ids[:-1] + 1] @ coupling
-            out[ids] = np.matmul(inverse[ids], rhs[:, :, None])[:, :, 0]
+                rhs[:-1] -= square[n_db + 1, : population - n_db] @ coupling
+            gate = 1 if n_db else 0
+            self._solve_step(gate, gate + 2, n_db, rhs, rhs)
+        for n_front in range(population + 1):
+            width = population + 1 - n_front
+            out[o[n_front] : o[n_front] + width] = square[:width, n_front]
         return out
 
     def _solve_levels_ndb(self, r_blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Exact solve of every fixed-``n_db`` level (forward in n_front)."""
-        space = self.space
-        offsets = space.block_offset
-        population = space.population
-        think_rate = self.operator.think_rate
-        inverse = self._inverse_blocks
+        o = self.operator._offsets
+        population = self.space.population
         for n_front in range(population + 1):
-            start, stop = offsets[n_front], offsets[n_front + 1]
+            start, stop = o[n_front], o[n_front + 1]
             rhs = r_blocks[start:stop].copy()
             if n_front > 0:
-                width = stop - start
-                previous = out[offsets[n_front - 1] : offsets[n_front - 1] + width]
-                thinking = population - (n_front - 1) - np.arange(width)
-                rhs -= (think_rate * thinking)[:, None] * previous
+                previous = slice(o[n_front - 1], o[n_front - 1] + stop - start)
+                rhs -= self.operator._think_rates[previous, None] * out[previous]
                 if n_front == population:
                     # The global last row is the normalisation row of the
                     # balance system; its think coupling does not exist.
                     rhs[-1, -1] = r_blocks[-1, -1]
-            out[start:stop] = np.matmul(inverse[start:stop], rhs[:, :, None])[:, :, 0]
+            gate = 2 if n_front else 0
+            self._solve_step(gate, gate + 1, n_front, rhs, out[start:stop])
         return out
 
     def _solve_levels_front(self, r_blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Exact solve of every total-population diagonal (backward in n_front)."""
-        space = self.space
-        offsets = space.block_offset
-        population = space.population
-        inverse = self._inverse_blocks
+        o = self.operator._offsets
+        population = self.space.population
         coupling = self.operator._front_completion
         for n_front in range(population, -1, -1):
-            start, stop = offsets[n_front], offsets[n_front + 1]
+            start, stop = o[n_front], o[n_front + 1]
             rhs = r_blocks[start:stop].copy()
             if n_front < population:
                 # row (nf, ndb) couples to column (nf + 1, ndb - 1).
-                rhs[1:] -= out[offsets[n_front + 1] : offsets[n_front + 2]] @ coupling
-            out[start:stop] = np.matmul(inverse[start:stop], rhs[:, :, None])[:, :, 0]
+                rhs[1:] -= out[stop : o[n_front + 2]] @ coupling
+            gate = 2 if n_front else 0
+            self._solve_step(gate, gate + 1, n_front, rhs, out[start:stop])
         return out
 
     # ------------------------------------------------------------------

@@ -163,27 +163,28 @@ def coarse_balance_matrix(
         ).tocsr()
         return sparse.kron(adjacency, local.T, format="csr")
 
-    ones_front = np.ones(operator._front_src.size)
-    ones_db = np.ones(operator._db_src.size)
+    # Block-level source/destination of every family (the same fixed
+    # (n_front, n_db) shifts the operator's matvecs apply row by row).
+    n_front, n_db = space.block_n_front, space.block_n_db
+    blocks = np.arange(space.num_blocks)
+    thinking = space.population - n_front - n_db
+    think = blocks[thinking > 0]
+    front = blocks[n_front > 0]
+    db = blocks[n_db > 0]
+    ones = np.ones(front.size)  # every family skips population + 1 blocks
     coarse = family(
-        operator._think_dest, operator._think_src, operator._think_rates, np.eye(K)
+        space.block_offset[n_front[think] + 1] + n_db[think], think,
+        operator._think_rates[think], np.eye(K),
     )
     coarse = coarse + family(
-        operator._front_dest, operator._front_src, ones_front,
+        space.block_offset[n_front[front] - 1] + n_db[front] + 1, front, ones,
         operator._front_completion,
     )
     if operator._has_front_hidden:
-        coarse = coarse + family(
-            operator._front_src, operator._front_src, ones_front,
-            operator._front_hidden,
-        )
-    coarse = coarse + family(
-        operator._db_src - 1, operator._db_src, ones_db, operator._db_completion
-    )
+        coarse = coarse + family(front, front, ones, operator._front_hidden)
+    coarse = coarse + family(db - 1, db, ones, operator._db_completion)
     if operator._has_db_hidden:
-        coarse = coarse + family(
-            operator._db_src, operator._db_src, ones_db, operator._db_hidden
-        )
+        coarse = coarse + family(db, db, ones, operator._db_hidden)
     # The exit-rate diagonal aggregates per (aggregate, phase).
     coarse_exit = np.zeros((num_aggregates, K))
     np.add.at(coarse_exit, aggregate_of, operator._exit_rate)

@@ -10,9 +10,7 @@ Three central claims:
 * the hierarchy coarsens ~4x per level and stops at the direct-solve
   threshold, independent of the population;
 * one cycle is an exact linear, deterministic operator — the property that
-  lets the enclosing preconditioner stay fixed across Krylov iterations —
-  and the threaded matvec path underneath it is bit-identical for every
-  thread count.
+  lets the enclosing preconditioner stay fixed across Krylov iterations.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from repro.queueing.ctmc import _balance_system
 from repro.queueing.kron_operator import (
     MatrixFreeGenerator,
     MultilevelPreconditioner,
-    THREADS_ENV_VAR,
-    solver_thread_count,
 )
 from repro.queueing.map_network import MapClosedNetworkSolver
 from repro.queueing.multilevel import (
@@ -191,37 +187,3 @@ class TestMultilevelPreconditionedSolve:
         preconditioner = operator.preconditioner()
         assert isinstance(preconditioner, MultilevelPreconditioner)
         assert preconditioner.hierarchy.num_levels >= 1
-
-
-class TestThreadedMatvecDeterminism:
-    def test_thread_count_parsing(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert solver_thread_count() == 1
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert solver_thread_count() == 4
-        assert solver_thread_count(override=2) == 2
-        monkeypatch.setenv(THREADS_ENV_VAR, "")
-        assert solver_thread_count() == 1
-        with pytest.raises(ValueError):
-            solver_thread_count(override="0")
-        with pytest.raises(ValueError):
-            solver_thread_count(override="many")
-
-    def test_threaded_matvecs_bit_identical(self, solver, monkeypatch):
-        # N=130 -> 8646 lattice blocks, enough that the chunked path engages
-        # (2 * _MIN_BLOCKS_PER_CHUNK = 8192).
-        population = 130
-        space = solver.state_space(population)
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        serial = fine_operator(solver, population)
-        assert serial.num_threads == 1
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        threaded = fine_operator(solver, population)
-        assert threaded.num_threads == 2
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(space.num_states)
-        np.testing.assert_array_equal(serial.q_matvec(x), threaded.q_matvec(x))
-        np.testing.assert_array_equal(serial.qt_matvec(x), threaded.qt_matvec(x))
-        np.testing.assert_array_equal(
-            serial.balance_matvec(x), threaded.balance_matvec(x)
-        )
