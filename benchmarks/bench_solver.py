@@ -13,11 +13,11 @@ Tracks the performance trajectory of the repository's hottest paths:
   (~2M and ~4.5M states), which only the matrix-free tier can touch without
   gigabytes of fill,
 * ``sweep`` — warm-started ``solve_sweep`` over the materialized ladder,
-* ``simulation`` — event-loop rate of the chunked-RNG simulator,
-* ``sim_loop`` — scalar event loop vs the vectorized batched-replication
-  kernel on the bursty Figure-9 network (the fig4-scale sweep workload):
-  per-cell seconds and aggregate events/second for replication counts from
-  16 up.  The scalar side runs every replication serially; at R=1024 its
+* ``simulation`` — completion rate of the scalar simulation kernel,
+* ``sim_loop`` — scalar jump-chain kernel vs the vectorized
+  batched-replication kernel on the bursty Figure-9 network (the fig4-scale
+  sweep workload): per-cell seconds and aggregate events/second for
+  replication counts from 16 up.  The scalar side runs every replication serially; at R=1024 its
   ladder rung would cost minutes, so rungs marked ``scalar_extrapolated``
   price the scalar kernel from its measured per-replication seconds at the
   same horizon (replications are independent runs — the scalar cost is
@@ -185,7 +185,7 @@ def bench_sweep(populations: list[int]) -> dict:
 
 
 def bench_simulation(horizon: float) -> dict:
-    """Chunked-RNG event-loop rate on the bursty Figure-9-style network."""
+    """Scalar-kernel completion rate on the bursty Figure-9-style network."""
     import numpy as np
 
     from repro.maps.map2 import map2_exponential, map2_from_moments_and_decay

@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=SIM_BACKENDS,
         default=None,
         help="force the simulation kernel of every simulation solver "
-        "(default: the solver's own sim_backend option, else the event loop)",
+        "(default: the solver's own sim_backend option, else the scalar kernel)",
     )
     _add_runner_arguments(run)
 
@@ -360,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=SIM_BACKENDS,
         default=None,
         help="force the simulation kernel of every simulation solver "
-        "(default: the solver's own sim_backend option, else the event loop)",
+        "(default: the solver's own sim_backend option, else the scalar kernel)",
     )
     _add_runner_arguments(sweep)
 

@@ -27,14 +27,16 @@ them once however many cells it executes.
 Simulation backends
 -------------------
 ``simulation`` cells run on one of two kernels (recorded in
-``result.meta["sim_backend"]``): the scalar event loop (``event``, the
-default) or the vectorized batched-replication kernel
+``result.meta["sim_backend"]``): the scalar jump-chain kernel (``event``,
+the default) or the vectorized batched-replication kernel
 (:mod:`repro.simulation.batched`, requested with ``{"sim_backend":
-"batched"}`` in the solver options).  The effective backend is a function of
-the *spec alone* (:func:`simulation_backend`): a batched request falls back
-to the scalar kernel when the scenario declares a single replication, so a
-cell computes identical values whether it is executed alone, in a fresh
-batch, or in the re-batched remainder of a resumed run.
+"batched"}`` in the solver options).  Both read a cell's seed stream the
+same way, so they give the same trajectory; the backend changes speed and
+the last-ulp rounding of time averages.  The effective backend is a
+function of the *spec alone* (:func:`simulation_backend`): a batched
+request falls back to the scalar kernel when the scenario declares a single
+replication, so a cell computes identical values whether it is executed
+alone, in a fresh batch, or in the re-batched remainder of a resumed run.
 :func:`simulation_batch_groups` is how the runner partitions pending cells
 into whole-grid-point batches for :func:`execute_simulation_group`.
 """
@@ -170,7 +172,7 @@ def simulation_backend(spec: ScenarioSpec, cell: Cell) -> str:
     """Effective simulation backend of one cell — a function of the spec.
 
     The ``sim_backend`` solver option requests a kernel; ``batched`` falls
-    back to the scalar event loop when the scenario declares a single
+    back to the scalar kernel when the scenario declares a single
     replication (there is nothing to batch, and the scalar kernel is the
     cheaper path for one stream).  The decision must depend only on the spec
     — never on how many cells happen to execute together — so that a cell

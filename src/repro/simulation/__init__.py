@@ -1,21 +1,22 @@
 """Discrete-event simulation substrate.
 
-* :mod:`~repro.simulation.events` — a minimal event queue with lazy
-  invalidation, shared by all simulators,
+* :mod:`~repro.simulation.events` — a minimal time-ordered event queue,
+  used by the TPC-W testbed,
 * :mod:`~repro.simulation.ps_server` — an exact processor-sharing server
   based on virtual (attained-service) time,
 * :mod:`~repro.simulation.trace_queue` — the trace-driven open queue used for
   Table 1 (Poisson arrivals, service times read from a trace, FCFS),
-* :mod:`~repro.simulation.closed_network` — a scalar event-loop simulator of
+* :mod:`~repro.simulation.closed_network` — the scalar jump-chain kernel of
   the abstract closed network of Figure 9 (delay station plus two servers
   whose service processes are MAPs), used to cross-validate the analytical
-  solver,
-* :mod:`~repro.simulation.timevarying` — the scalar kernel for
+  solver; a static network runs as a one-segment timeline,
+* :mod:`~repro.simulation.timevarying` — the entry points for
   *time-varying* timelines (diurnal curves, flash crowds, regime-switching
   MAPs, outages), with per-segment statistics,
-* :mod:`~repro.simulation.batched` — the one vectorized kernel that advances
-  every replication in lockstep as numpy arrays, for static networks (a
-  one-segment timeline) and timelines alike (the ``batched`` backend),
+* :mod:`~repro.simulation.batched` — the vectorized kernel that advances
+  every replication in lockstep as numpy arrays (the ``batched`` backend),
+  and the one seed policy both kernels follow: the same seed gives the same
+  trajectory on either backend,
 * :mod:`~repro.simulation.random_streams` — seeded random-stream management.
 """
 

@@ -1,4 +1,5 @@
-"""The batched lockstep simulator of the closed MAP network.
+"""The batched lockstep simulator of the closed MAP network, and the seed
+stream both simulation kernels read.
 
 One numpy kernel, :func:`simulate_segments_batch`, advances **all R
 replications in lockstep** over a timeline of
@@ -11,9 +12,12 @@ runs a static network as a one-segment timeline;
 :func:`~repro.simulation.timevarying.simulate_timevarying_closed_map_network_batch`
 runs a timeline (segment semantics — regime switches, population changes,
 outages — are documented in :mod:`repro.simulation.timevarying`).  The
-kernel simulates the same continuous-time Markov chain as the scalar
-kernels, so estimates agree with them and with the exact CTMC solution
-within statistical error (asserted by the cross-validation suite).
+scalar kernel, :func:`~repro.simulation.closed_network.simulate_segments`,
+runs the same jump chain one replication at a time and reads its generator
+exactly as this kernel reads a replication's (see *Seed policy*), so the two
+backends follow the same trajectory draw for draw; estimates agree with the
+exact CTMC solution within statistical error (asserted by the
+cross-validation suite).
 
 Why the jump chain, not uniformization
 --------------------------------------
@@ -31,13 +35,14 @@ by memorylessness).
 
 Seed policy
 -----------
-Results are **per-replication deterministic and batch-composition
-independent**: replication ``i`` owns ``numpy.random.default_rng(seeds[i])``
-and consumes only its own stream, so its result depends on ``seeds[i]`` and
-the timeline alone — not on ``R`` or on which replications share the batch.
+This is the one seed policy of the simulation package.  Replication ``i``
+of the batched kernel owns ``numpy.random.default_rng(seeds[i])``; the
+scalar kernel owns the ``rng`` it is given.  Each consumes only its own
+stream, so a batched replication's result depends on ``seeds[i]`` and the
+timeline alone — not on ``R`` or on which replications share the batch.
 This is what lets the experiment runner resume a partially-cached
-replication set bit-identically under any re-batching.  Per replication the
-stream is consumed as:
+replication set bit-identically under any re-batching.  A stream is
+consumed as:
 
 1. one uniform for the initial front phase, then one for the initial
    database phase (inverse CDF of the first segment's MAPs' embedded
@@ -48,14 +53,19 @@ stream is consumed as:
    clamped at a boundary or deadlocked in an outage — consumes exactly one
    variate from each of the three buffers.
 
+A step counts towards ``events`` when it starts before the horizon and is
+neither clamped nor deadlocked; a completion counts when its time ``t``
+satisfies ``warmup <= t < horizon``.  The last segment never clamps: the
+horizon, not a boundary, ends it.
+
 ``BATCH_RNG_CHUNK`` is therefore part of the seed policy: changing it
 changes seeded trajectories.  ``BATCH_WINDOW`` (the statistics-reduction
 window) does not affect the trajectory, but it partitions the time-weighted
 sums and so pins their last-ulp rounding; with the batch-width-independent
 pairwise fold (:func:`_fold_columns`) it makes a replication's result
-bit-equal whether it runs alone or inside any batch.  The batched and scalar
-kernels consume their generators differently, so the same seed gives
-*different* (equally valid) trajectories on the two backends.
+bit-equal whether it runs alone or inside any batch.  The scalar kernel
+sums sequentially, so for the same seed the two backends give equal
+integer counts and float sums equal to within a few ulps.
 
 Performance
 -----------
@@ -73,26 +83,28 @@ orders gather rows of a CDF table (:func:`_destination_table`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.maps.map_process import MAP
 from repro.queueing.transient import NetworkSegment
-from repro.simulation.closed_network import ClosedNetworkSimResult
 
 __all__ = [
+    "ClosedNetworkSimResult",
     "simulate_closed_map_network_batch",
     "BATCH_RNG_CHUNK",
     "SIM_BACKENDS",
 ]
 
-#: Recognised simulation backends of the experiment engine: the scalar event
-#: loop (``event``) and this kernel (``batched``).
+#: Recognised simulation backends of the experiment engine: the scalar
+#: kernel (``event``) and this kernel (``batched``).  Both read the same seed
+#: stream, so the choice changes speed, not trajectories.
 SIM_BACKENDS = ("event", "batched")
 
 #: Draws per stream per refill of a replication's RNG buffers.  Part of the
-#: batched seed policy (see module docstring).
+#: seed policy (see module docstring).
 BATCH_RNG_CHUNK = 4096
 
 #: Steps per statistics-reduction window.  Small enough that the ``(window,
@@ -142,7 +154,9 @@ def _destination_table(front: MAP, db: MAP) -> np.ndarray:
     Leading columns repeat the previous cumulative value (zero probability
     mass) so database rows land in the database index range, and the last
     real outcome column is set to ``2.0`` — always selectable, which clamps
-    cumulative rounding exactly like the scalar kernel's ``bisect`` clamp.
+    cumulative rounding (a uniform above the last cumulative sum still
+    resolves to the last outcome).  The row is non-decreasing, so the scalar
+    kernel resolves the same outcome with one ``bisect_right``.
     """
     K1, K2 = front.order, db.order
     KG = K1 + K2
@@ -213,6 +227,83 @@ class SegmentIntegrals(NamedTuple):
     area_db: np.ndarray
     measured: np.ndarray
     events: np.ndarray
+
+
+@dataclass(frozen=True)
+class ClosedNetworkSimResult:
+    """Estimates from one simulation run of the closed MAP network.
+
+    Returned by both static entry points (this module's and
+    :func:`~repro.simulation.closed_network.simulate_closed_map_network`,
+    which re-exports it).
+    """
+
+    population: int
+    think_time: float
+    horizon: float
+    throughput: float
+    front_utilization: float
+    db_utilization: float
+    front_queue_length: float
+    db_queue_length: float
+    completed: int
+    warmup: float = 0.0
+    measured_time: float = 0.0
+    #: Jump-chain steps that start before the horizon and fire a transition
+    #: (think completions plus MAP jumps, hidden and marked, of busy
+    #: servers); clamped and deadlocked steps do not count.  Both kernels
+    #: count the same steps (see the seed policy), and the ``sim_loop``
+    #: benchmark reports them as events/second.
+    events: int = 0
+
+    def summary(self) -> dict:
+        """Headline metrics (same keys as the analytical solver)."""
+        return {
+            "population": self.population,
+            "throughput": self.throughput,
+            "front_utilization": self.front_utilization,
+            "db_utilization": self.db_utilization,
+            "front_queue_length": self.front_queue_length,
+            "db_queue_length": self.db_queue_length,
+        }
+
+
+def _validate_network(
+    think_time: float, population: int, horizon: float, warmup: float
+) -> None:
+    """Input checks shared by the scalar and batched static entry points."""
+    if think_time <= 0:
+        raise ValueError("think_time must be positive for the simulator")
+    if population < 1:
+        raise ValueError("population must be >= 1")
+    if warmup < 0:
+        raise ValueError("warmup must be non-negative")
+    if horizon <= warmup:
+        raise ValueError("horizon must exceed warmup")
+
+
+def _network_results(
+    sums: SegmentIntegrals,
+    think_time: float,
+    population: int,
+    horizon: float,
+    warmup: float,
+) -> list[ClosedNetworkSimResult]:
+    """One :class:`ClosedNetworkSimResult` per replication of a one-segment run."""
+    completed, measured = sums.completed[0], sums.measured[0]
+    return [
+        ClosedNetworkSimResult(
+            population=population, think_time=think_time, horizon=horizon,
+            throughput=float(completed[r] / measured[r]),
+            front_utilization=float(sums.busy_front[0, r] / measured[r]),
+            db_utilization=float(sums.busy_db[0, r] / measured[r]),
+            front_queue_length=float(sums.area_front[0, r] / measured[r]),
+            db_queue_length=float(sums.area_db[0, r] / measured[r]),
+            completed=int(completed[r]), warmup=warmup,
+            measured_time=float(measured[r]), events=int(sums.events[r]),
+        )
+        for r in range(len(measured))
+    ]
 
 
 def simulate_segments_batch(
@@ -493,28 +584,7 @@ def simulate_closed_map_network_batch(
     policy).  Returns one :class:`ClosedNetworkSimResult` per seed, in seed
     order.  The network runs as a one-segment timeline.
     """
-    if think_time <= 0:
-        raise ValueError("think_time must be positive for the simulator")
-    if population < 1:
-        raise ValueError("population must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be non-negative")
-    if horizon <= warmup:
-        raise ValueError("horizon must exceed warmup")
-
+    _validate_network(think_time, population, horizon, warmup)
     segment = NetworkSegment(horizon, front_service, db_service, think_time, population)
     sums = simulate_segments_batch([segment], horizon, warmup, seeds)
-    completed, measured = sums.completed[0], sums.measured[0]
-    return [
-        ClosedNetworkSimResult(
-            population=population, think_time=think_time, horizon=horizon,
-            throughput=float(completed[r] / measured[r]),
-            front_utilization=float(sums.busy_front[0, r] / measured[r]),
-            db_utilization=float(sums.busy_db[0, r] / measured[r]),
-            front_queue_length=float(sums.area_front[0, r] / measured[r]),
-            db_queue_length=float(sums.area_db[0, r] / measured[r]),
-            completed=int(completed[r]), warmup=warmup,
-            measured_time=float(measured[r]), events=int(sums.events[r]),
-        )
-        for r in range(len(seeds))
-    ]
+    return _network_results(sums, think_time, population, horizon, warmup)

@@ -1,6 +1,6 @@
 """Simulation of the closed MAP queueing network of Figure 9.
 
-This simulator reproduces, event by event, the stochastic process whose
+This simulator reproduces, jump by jump, the stochastic process whose
 stationary distribution the analytical solver
 (:class:`repro.queueing.map_network.MapClosedNetworkSolver`) computes:
 
@@ -15,176 +15,159 @@ throughput and utilisations must agree with the exact CTMC solution within
 statistical error, which is one of the strongest integration tests in the
 repository.
 
-Seed policy
------------
-All randomness is drawn from the single ``rng`` passed in, but *in batches*:
-unit-rate exponential and uniform variates are pre-drawn in chunks of
-``RNG_CHUNK`` and consumed from buffers (:class:`_ChunkedDraws`), so the
-event loop pays one numpy call per few thousand events instead of one per
-MAP jump.  *Every* draw goes through the buffers — including the two initial
-service phases, which are sampled by inverse CDF from one buffered uniform
-each (one for the front server, then one for the database).  Consequences:
-
-* a fixed ``(seed, RNG_CHUNK)`` pair gives bit-identical results across runs
-  and platforms (pinned by a regression test),
-* trajectories differ from pre-batching versions of this module (the order
-  in which the underlying bit stream is consumed changed), and changing
-  ``RNG_CHUNK`` is likewise a trajectory-breaking change.  Routing the
-  initial-phase draws through the buffers (they previously bypassed the
-  chunked streams via ``rng.choice``) was one more deliberate trajectory
-  break, re-pinned in the regression test,
-* statistical properties are untouched — every variate is still an
-  independent draw from the same generator.
-
-The vectorized batched-replication kernel
-(:mod:`repro.simulation.batched`) simulates the same process under its own
-seed policy; the two backends give different (equally valid) trajectories
-for the same seed.
+:func:`simulate_segments` is the scalar kernel: one replication's embedded
+jump chain over a timeline of
+:class:`~repro.queueing.transient.NetworkSegment` entries, the same chain
+the batched kernel (:mod:`repro.simulation.batched`) advances in lockstep.
+A static network runs as a one-segment timeline.  The kernel reads its
+generator under the one seed policy, documented in
+:mod:`repro.simulation.batched`, so a seed gives the same trajectory on both
+backends.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.maps.map_process import MAP
+from repro.queueing.transient import NetworkSegment
+from repro.simulation.batched import (
+    BATCH_RNG_CHUNK,
+    ClosedNetworkSimResult,
+    SegmentIntegrals,
+    _destination_table,
+    _initial_phase,
+    _network_results,
+    _validate_network,
+)
 
-__all__ = ["ClosedNetworkSimResult", "simulate_closed_map_network", "RNG_CHUNK"]
-
-#: Number of variates drawn per numpy call.  Part of the seed policy: the
-#: trajectory of a seeded run depends on this value (see module docstring).
-RNG_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class ClosedNetworkSimResult:
-    """Estimates from one simulation run of the closed MAP network."""
-
-    population: int
-    think_time: float
-    horizon: float
-    throughput: float
-    front_utilization: float
-    db_utilization: float
-    front_queue_length: float
-    db_queue_length: float
-    completed: int
-    warmup: float = 0.0
-    measured_time: float = 0.0
-    #: Jump-chain transitions over the whole run (think completions plus MAP
-    #: jumps, hidden and marked, of busy servers) — the denominator-free
-    #: work measure the ``sim_loop`` benchmark reports as events/second.
-    #: The scalar kernel counts MAP jumps by stream consumption, so the last
-    #: partially-consumed completion interval adds a few jumps beyond the
-    #: horizon; the batched kernel counts steps started before the horizon.
-    events: int = 0
-
-    def summary(self) -> dict:
-        """Headline metrics (same keys as the analytical solver)."""
-        return {
-            "population": self.population,
-            "throughput": self.throughput,
-            "front_utilization": self.front_utilization,
-            "db_utilization": self.db_utilization,
-            "front_queue_length": self.front_queue_length,
-            "db_queue_length": self.db_queue_length,
-        }
+__all__ = ["ClosedNetworkSimResult", "simulate_closed_map_network", "simulate_segments"]
 
 
-class _ChunkedDraws:
-    """Buffered unit-exponential and uniform draws from one generator.
+def simulate_segments(
+    segments: Sequence[NetworkSegment],
+    horizon: float,
+    warmup: float,
+    rng: np.random.Generator,
+) -> SegmentIntegrals:
+    """Run one replication over a validated timeline on the scalar kernel.
 
-    Refills in chunks of ``RNG_CHUNK`` (one numpy call per chunk) and hands
-    out plain Python floats, which keeps the per-event cost of the simulation
-    loop at a couple of list indexings instead of numpy method dispatches.
+    Takes the arguments of
+    :func:`~repro.simulation.batched.simulate_segments_batch`, with one
+    generator in place of the seeds, and returns its sums with ``R = 1``.
+    Per-segment sums are plain floats, flushed when the segment changes.
     """
+    num_segments = len(segments)
+    last = num_segments - 1
+    K1 = segments[0].front.order
+    KG = K1 + segments[0].db.order
+    inf = float("inf")
+    ends = np.cumsum([segment.duration for segment in segments]).tolist()[:-1] + [inf]
+    # Per segment: (population, 1/Z, exit rate and destination row per
+    # global phase).  A down station has zero exit rates: it never wins the
+    # event race, so its destination rows are never read and its phase
+    # freezes through the outage.
+    params = [
+        (
+            segment.population,
+            1.0 / segment.think_time,
+            np.concatenate([
+                -np.diag(segment.front.D0) if segment.front_up else np.zeros(K1),
+                -np.diag(segment.db.D0) if segment.db_up else np.zeros(KG - K1),
+            ]).tolist(),
+            _destination_table(segment.front, segment.db).tolist(),
+        )
+        for segment in segments
+    ]
+    completions = np.zeros(num_segments, dtype=np.int64)
+    # busy_front, busy_db, area_front, area_db, measured: SegmentIntegrals order
+    sums = np.zeros((5, num_segments))
 
-    __slots__ = ("rng", "_exp", "_exp_pos", "_uni", "_uni_pos", "_uni_refills")
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._exp: list[float] = []
-        self._exp_pos = 0
-        self._uni: list[float] = []
-        self._uni_pos = 0
-        self._uni_refills = 0
-
-    def exponential(self) -> float:
-        """Next unit-rate exponential variate (scale at the call site)."""
-        pos = self._exp_pos
-        if pos >= len(self._exp):
-            self._exp = self.rng.standard_exponential(RNG_CHUNK).tolist()
-            pos = 0
-        self._exp_pos = pos + 1
-        return self._exp[pos]
-
-    def uniform(self) -> float:
-        """Next uniform variate on ``[0, 1)``."""
-        pos = self._uni_pos
-        if pos >= len(self._uni):
-            self._uni = self.rng.random(RNG_CHUNK).tolist()
-            self._uni_refills += 1
-            pos = 0
-        self._uni_pos = pos + 1
-        return self._uni[pos]
-
-    @property
-    def uniforms_consumed(self) -> int:
-        """Uniform variates handed out so far (a free per-jump counter).
-
-        Each MAP jump consumes exactly one uniform (and each initial-phase
-        draw one more), so this counts MAP jumps without touching the hot
-        loop: only the rare refill increments a counter.
-        """
-        if self._uni_refills == 0:
-            return 0
-        return (self._uni_refills - 1) * RNG_CHUNK + self._uni_pos
-
-
-class _MapServiceState:
-    """Incremental sampling of a MAP's completion process for one server."""
-
-    def __init__(self, map_process: MAP, draws: _ChunkedDraws) -> None:
-        self.draws = draws
-        order = map_process.order
-        # Initial phase by inverse CDF from one *buffered* uniform, so every
-        # draw of a run flows through the documented chunked streams (a raw
-        # ``rng.choice`` here would consume the bit stream out of band).
-        stationary_cum = np.cumsum(map_process.embedded_stationary).tolist()
-        self.phase = min(bisect_right(stationary_cum, draws.uniform()), order - 1)
-        self.order = order
-        self.mean_sojourns = (-1.0 / np.diag(map_process.D0)).tolist()
-        # Per-phase cumulative jump distribution over the 2K outcomes
-        # (K hidden D0 transitions, then K marked D1 transitions), precomputed
-        # as plain lists so the hot loop is one buffered exponential draw plus
-        # one bisect on a K-element list.
-        rates = -np.diag(map_process.D0)
-        hidden = np.maximum(map_process.D0, 0.0)
-        np.fill_diagonal(hidden, 0.0)
-        marked = np.maximum(map_process.D1, 0.0)
-        jump_probabilities = np.hstack([hidden, marked]) / rates[:, None]
-        self.jump_cdf = np.cumsum(jump_probabilities, axis=1).tolist()
-
-    def sample_completion_interval(self) -> float:
-        """Busy time until the next completion event, advancing the phase."""
-        elapsed = 0.0
-        order = self.order
-        last_jump = 2 * order - 1
-        draws = self.draws
-        mean_sojourns = self.mean_sojourns
-        jump_cdf = self.jump_cdf
-        while True:
-            phase = self.phase
-            elapsed += draws.exponential() * mean_sojourns[phase]
-            jump = bisect_right(jump_cdf[phase], draws.uniform())
-            if jump > last_jump:
-                jump = last_jump
-            if jump >= order:
-                self.phase = jump - order
-                return elapsed
-            self.phase = jump
+    fp = _initial_phase(np.cumsum(segments[0].front.embedded_stationary), rng.random())
+    dp = K1 + _initial_phase(np.cumsum(segments[0].db.embedded_stationary), rng.random())
+    nf = ndb = 0
+    clock = 0.0
+    s = 0
+    population, inv_think, exit_rate, rows = params[0]
+    seg_end = ends[0]
+    events = completed = 0
+    measured = busy_front = busy_db = area_front = area_db = 0.0
+    chunk = BATCH_RNG_CHUNK
+    position = chunk
+    while clock < horizon:
+        if position == chunk:
+            exps = rng.standard_exponential(chunk).tolist()
+            event_draws = rng.random(chunk).tolist()
+            dest_draws = rng.random(chunk).tolist()
+            position = 0
+        think_rate = (population - (nf + ndb)) * inv_think
+        through_front = think_rate + (exit_rate[fp] if nf else 0.0)
+        total_rate = through_front + (exit_rate[dp] if ndb else 0.0)
+        start = clock
+        # a deadlocked step (every job queued at a down station, the other
+        # station empty) has rate zero: its holding time is infinite
+        fire = total_rate > 0.0
+        clock = clock + exps[position] / total_rate if fire else inf
+        clamp = clock >= seg_end and s != last
+        if clamp:
+            clock = seg_end
+            fire = False
+        span = (clock if clock < horizon else horizon) - (start if start > warmup else warmup)
+        if span > 0.0:
+            measured += span
+            if nf:
+                busy_front += span
+                area_front += span * nf
+            if ndb:
+                busy_db += span
+                area_db += span * ndb
+        if fire:
+            events += 1
+            x = event_draws[position] * total_rate
+            if x < think_rate:
+                nf += 1
+            elif x < through_front:
+                jump = bisect_right(rows[fp], dest_draws[position])
+                if jump >= KG:
+                    fp = jump - KG
+                    nf -= 1
+                    ndb += 1
+                else:
+                    fp = jump
+            else:
+                jump = bisect_right(rows[dp], dest_draws[position])
+                if jump >= KG:
+                    dp = jump - KG
+                    ndb -= 1
+                    if warmup <= clock < horizon:
+                        completed += 1
+                else:
+                    dp = jump
+        position += 1
+        if clamp:
+            # Enter the next segment: phases carry over; a population
+            # decrease drops the excess from the front queue, then the
+            # database.
+            completions[s] = completed
+            sums[:, s] = (busy_front, busy_db, area_front, area_db, measured)
+            completed = 0
+            measured = busy_front = busy_db = area_front = area_db = 0.0
+            s += 1
+            population, inv_think, exit_rate, rows = params[s]
+            seg_end = ends[s]
+            excess = nf + ndb - population
+            if excess > 0:
+                drop_front = min(nf, excess)
+                nf -= drop_front
+                ndb -= excess - drop_front
+    completions[s] = completed
+    sums[:, s] = (busy_front, busy_db, area_front, area_db, measured)
+    return SegmentIntegrals(
+        completions[:, None], *sums[:, :, None], np.array([events], dtype=np.int64)
+    )
 
 
 def simulate_closed_map_network(
@@ -204,7 +187,7 @@ def simulate_closed_map_network(
         Service MAPs of the two queues.
     think_time:
         Mean exponential think time (must be positive; an infinite-server
-        station with zero delay would make the event loop degenerate).
+        station with zero delay would make the jump chain degenerate).
     population:
         Number of circulating customers.
     horizon:
@@ -212,114 +195,13 @@ def simulate_closed_map_network(
     warmup:
         Initial interval excluded from all estimates.
     rng:
-        Random generator (a fresh default generator when omitted).
+        Random generator (a fresh default generator when omitted).  The same
+        seed gives the same trajectory as
+        :func:`~repro.simulation.batched.simulate_closed_map_network_batch`.
     """
-    if think_time <= 0:
-        raise ValueError("think_time must be positive for the simulator")
-    if population < 1:
-        raise ValueError("population must be >= 1")
-    if warmup < 0:
-        raise ValueError("warmup must be non-negative")
-    if horizon <= warmup:
-        raise ValueError("horizon must exceed warmup")
-    if rng is None:
-        rng = np.random.default_rng()
-
-    draws = _ChunkedDraws(rng)
-    front_state = _MapServiceState(front_service, draws)
-    db_state = _MapServiceState(db_service, draws)
-
-    # State variables.
-    thinking = population
-    front_queue = 0
-    db_queue = 0
-    clock = 0.0
-    next_think_completion = np.inf
-    next_front_completion = np.inf
-    next_db_completion = np.inf
-    # Remaining busy work until the next MAP completion at each server (the
-    # MAP interval is consumed only while the server is busy).
-    front_residual = front_state.sample_completion_interval()
-    db_residual = db_state.sample_completion_interval()
-
-    def think_rate() -> float:
-        return thinking / think_time if thinking > 0 else 0.0
-
-    # Statistics.
-    completed = 0
-    think_events = 0
-    busy_front = 0.0
-    busy_db = 0.0
-    area_front = 0.0
-    area_db = 0.0
-    measured_time = 0.0
-
-    def schedule_think() -> float:
-        rate = think_rate()
-        return clock + draws.exponential() / rate if rate > 0 else np.inf
-
-    next_think_completion = schedule_think()
-
-    while clock < horizon:
-        next_front_completion = clock + front_residual if front_queue > 0 else np.inf
-        next_db_completion = clock + db_residual if db_queue > 0 else np.inf
-        next_time = min(next_think_completion, next_front_completion, next_db_completion)
-        if next_time == np.inf or next_time > horizon:
-            next_time = horizon
-        elapsed = next_time - clock
-        in_measurement = max(0.0, min(next_time, horizon) - max(clock, warmup))
-        if in_measurement > 0:
-            measured_time += in_measurement
-            if front_queue > 0:
-                busy_front += in_measurement
-                area_front += in_measurement * front_queue
-            if db_queue > 0:
-                busy_db += in_measurement
-                area_db += in_measurement * db_queue
-        # Consume busy time from the MAP completion intervals.
-        if front_queue > 0:
-            front_residual -= elapsed
-        if db_queue > 0:
-            db_residual -= elapsed
-        clock = next_time
-        if clock >= horizon:
-            break
-        if next_time == next_think_completion:
-            thinking -= 1
-            front_queue += 1
-            think_events += 1
-            next_think_completion = schedule_think()
-        elif next_time == next_front_completion:
-            front_queue -= 1
-            db_queue += 1
-            front_residual = front_state.sample_completion_interval()
-        else:
-            db_queue -= 1
-            thinking += 1
-            db_residual = db_state.sample_completion_interval()
-            next_think_completion = schedule_think()
-            if clock >= warmup:
-                completed += 1
-
-    # The loop intervals tile [0, horizon] exactly, so the accumulated
-    # measurement time equals horizon - warmup up to float rounding; the
-    # accumulated value is used as the denominator so that time-average and
-    # count estimates stay mutually consistent.
-    duration = measured_time
-    # Jump-chain transitions: think completions plus the MAP jumps consumed
-    # from the uniform stream (minus the two initial-phase draws).
-    events = think_events + draws.uniforms_consumed - 2
-    return ClosedNetworkSimResult(
-        population=population,
-        think_time=think_time,
-        horizon=horizon,
-        throughput=completed / duration,
-        front_utilization=busy_front / duration,
-        db_utilization=busy_db / duration,
-        front_queue_length=area_front / duration,
-        db_queue_length=area_db / duration,
-        completed=completed,
-        warmup=warmup,
-        measured_time=measured_time,
-        events=events,
+    _validate_network(think_time, population, horizon, warmup)
+    segment = NetworkSegment(horizon, front_service, db_service, think_time, population)
+    sums = simulate_segments(
+        [segment], horizon, warmup, np.random.default_rng() if rng is None else rng
     )
+    return _network_results(sums, think_time, population, horizon, warmup)[0]

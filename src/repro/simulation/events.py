@@ -1,11 +1,10 @@
-"""A minimal discrete-event queue with lazy invalidation.
+"""A minimal discrete-event queue.
 
-Simulators frequently need to *reschedule* a pending event (e.g. the next
-completion of a processor-sharing server changes whenever a job arrives or
-departs).  Deleting arbitrary entries from a binary heap is awkward, so the
-queue uses the standard lazy-invalidation idiom: every scheduled event gets a
-monotonically increasing sequence number, and cancellations simply mark the
-sequence number as stale; stale entries are skipped when popped.
+Events are ``(time, payload)`` pairs in a binary heap; a monotonically
+increasing sequence number breaks time ties in scheduling order, so payloads
+never need to be comparable.  A simulator that must *reschedule* a pending
+event tags the payload with a version counter and ignores stale versions
+when they pop.
 """
 
 from __future__ import annotations
@@ -18,53 +17,25 @@ __all__ = ["EventQueue"]
 
 
 class EventQueue:
-    """Time-ordered event queue.
-
-    Events are arbitrary payloads scheduled at absolute times.  ``schedule``
-    returns a handle that can later be passed to ``cancel``.
-    """
+    """Time-ordered event queue of arbitrary payloads at absolute times."""
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Any]] = []
         self._counter = itertools.count()
-        self._cancelled: set[int] = set()
-        self._size = 0
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._size > 0
+        return bool(self._heap)
 
-    def schedule(self, time: float, payload: Any) -> int:
-        """Schedule ``payload`` at ``time`` and return a cancellation handle."""
-        handle = next(self._counter)
-        heapq.heappush(self._heap, (time, handle, payload))
-        self._size += 1
-        return handle
-
-    def cancel(self, handle: int) -> None:
-        """Cancel a previously scheduled event (no-op if already popped)."""
-        self._cancelled.add(handle)
+    def schedule(self, time: float, payload: Any) -> None:
+        """Schedule ``payload`` at ``time``."""
+        heapq.heappush(self._heap, (time, next(self._counter), payload))
 
     def pop(self) -> tuple[float, Any]:
-        """Pop and return the earliest non-cancelled event as ``(time, payload)``."""
-        while self._heap:
-            time, handle, payload = heapq.heappop(self._heap)
-            if handle in self._cancelled:
-                self._cancelled.discard(handle)
-                continue
-            self._size -= 1
-            return time, payload
-        raise IndexError("pop from an empty event queue")
-
-    def peek_time(self) -> float | None:
-        """Time of the earliest pending event, or ``None`` when empty."""
-        while self._heap:
-            time, handle, _ = self._heap[0]
-            if handle in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard(handle)
-                continue
-            return time
-        return None
+        """Pop and return the earliest event as ``(time, payload)``."""
+        if not self._heap:
+            raise IndexError("pop from an empty event queue")
+        time, _, payload = heapq.heappop(self._heap)
+        return time, payload

@@ -5,10 +5,6 @@ advances at rate ``1 / n(t)`` while ``n(t) > 0`` jobs are present, and a job
 with service requirement ``S`` arriving at virtual time ``V_a`` completes when
 the virtual clock reaches ``V_a + S``.  This gives exact egalitarian
 processor sharing with O(log n) work per event.
-
-The server also keeps the accounting needed by the monitoring subsystem:
-cumulative busy time, number of completions, and the time-integral of the
-queue length.
 """
 
 from __future__ import annotations
@@ -28,10 +24,6 @@ class ProcessorSharingServer:
         self._last_update = 0.0
         self._targets: dict[Any, float] = {}
         self._heap: list[tuple[float, Any]] = []
-        # Accounting
-        self.busy_time = 0.0
-        self.completions = 0
-        self.queue_length_integral = 0.0
 
     # ------------------------------------------------------------------
     # State inspection
@@ -50,7 +42,7 @@ class ProcessorSharingServer:
     # Dynamics
     # ------------------------------------------------------------------
     def advance(self, now: float) -> None:
-        """Advance the server state (virtual time and accounting) to ``now``."""
+        """Advance the server's virtual time to ``now``."""
         elapsed = now - self._last_update
         if elapsed < -1e-9:
             raise ValueError("time must not run backwards (%.6f < %.6f)" % (now, self._last_update))
@@ -58,8 +50,6 @@ class ProcessorSharingServer:
             n = len(self._targets)
             if n > 0:
                 self._virtual_time += elapsed / n
-                self.busy_time += elapsed
-                self.queue_length_integral += elapsed * n
             self._last_update = now
 
     def arrive(self, job_id: Any, demand: float, now: float) -> None:
@@ -91,7 +81,6 @@ class ProcessorSharingServer:
             if current is None or abs(current - target) > 1e-12:
                 continue  # stale heap entry
             del self._targets[job_id]
-            self.completions += 1
             return job_id
         raise RuntimeError("complete_next called on an idle server")
 

@@ -3,9 +3,10 @@
 A *timeline* is a sequence of :class:`~repro.queueing.transient.
 NetworkSegment` entries — diurnal load curves, flash-crowd population ramps,
 regime-switching service MAPs, server slowdown and recovery.  This module
-holds the scalar timeline kernel and the batched entry point, which runs the
-lockstep kernel of :mod:`repro.simulation.batched` (a static network is the
-one-segment case of that kernel).  Both follow the trajectory semantics of
+holds the two timeline entry points: one runs the scalar kernel
+(:func:`repro.simulation.closed_network.simulate_segments`), the other the
+lockstep kernel of :mod:`repro.simulation.batched`.  A static network is the
+one-segment case of both kernels.  They follow the trajectory semantics of
 the transient solver layer (:mod:`repro.queueing.transient`):
 
 * service-MAP regime switches carry the current phase over (all segments
@@ -23,32 +24,27 @@ memorylessness — the process restarted at the boundary with the new
 segment's rates is the correct continuation; the clamped draw is discarded.
 A segment in which every job is queued at a down station (and the other
 station is empty) is a deadlock with total rate zero: the clock advances
-deterministically to the segment boundary (or the horizon).  The scalar
-kernel consumes no draws for it; the batched kernel keeps its lockstep
-per-step consumption, so a clamped or deadlocked step discards its draws.
+deterministically to the segment boundary (or the horizon).  A clamped or
+deadlocked step still consumes its draws and fires nothing.
 
-Seed policy: the batched kernel's is documented in
-:mod:`repro.simulation.batched`.  The scalar kernel draws from the chunked
-streams of :class:`~repro.simulation.closed_network._ChunkedDraws` (two
-initial-phase uniforms, then per step one exponential and two uniforms);
-the two backends give different (equally valid) trajectories for the same
-seed.  Statistics are collected **per segment** (time-weighted over each
-segment's overlap with the post-warmup measurement window) and aggregated
-over the whole timeline, so simulated segment estimates compare directly
-with the per-segment metrics of the piecewise solvers.
+Both kernels read their generators under the one seed policy documented in
+:mod:`repro.simulation.batched`, so a seed gives the same trajectory on
+either backend.  Statistics are collected **per segment** (time-weighted
+over each segment's overlap with the post-warmup measurement window) and
+aggregated over the whole timeline, so simulated segment estimates compare
+directly with the per-segment metrics of the piecewise solvers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.queueing.transient import NetworkSegment, _require_equal_orders
-from repro.simulation.batched import _initial_phase, simulate_segments_batch
-from repro.simulation.closed_network import _ChunkedDraws
+from repro.simulation.batched import SegmentIntegrals, simulate_segments_batch
+from repro.simulation.closed_network import simulate_segments
 
 __all__ = [
     "SegmentSimStats",
@@ -175,160 +171,44 @@ def _overall_result(
     )
 
 
+def _timeline_results(
+    segments: Sequence[NetworkSegment],
+    horizon: float,
+    warmup: float,
+    sums: SegmentIntegrals,
+) -> list[TimeVaryingSimResult]:
+    """One :class:`TimeVaryingSimResult` per replication of a kernel run."""
+    boundaries = np.cumsum([segment.duration for segment in segments])
+    per_segment = (
+        sums.completed, sums.busy_front, sums.busy_db, sums.area_front, sums.area_db, sums.measured
+    )
+    return [
+        _overall_result(
+            horizon,
+            warmup,
+            int(sums.events[r]),
+            _segment_stats(segments, boundaries, *(field[:, r] for field in per_segment)),
+        )
+        for r in range(len(sums.events))
+    ]
+
+
 def simulate_timevarying_closed_map_network(
     segments: Sequence[NetworkSegment],
     warmup: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> TimeVaryingSimResult:
-    """Scalar jump-chain simulation of one replication over a timeline."""
+    """Scalar jump-chain simulation of one replication over a timeline.
+
+    Runs :func:`~repro.simulation.closed_network.simulate_segments`; the same
+    seed gives the same trajectory as the batched entry point.
+    """
     segments = list(segments)
     horizon = _validate_timeline(segments, warmup)
     if rng is None:
         rng = np.random.default_rng()
-    draws = _ChunkedDraws(rng)
-    num_segments = len(segments)
-    boundaries = np.cumsum([segment.duration for segment in segments])
-
-    # Per-segment parameter tables (plain lists for the scalar hot loop).
-    K1 = segments[0].front.order
-    K2 = segments[0].db.order
-    params = []
-    for segment in segments:
-        # A down station's exit rates are zero: it never wins the event race,
-        # so its (healthy-MAP) jump CDF is never consulted and its phase
-        # stays frozen through the outage.
-        front_exit = (
-            (-np.diag(segment.front.D0)).tolist() if segment.front_up else [0.0] * K1
-        )
-        db_exit = (
-            (-np.diag(segment.db.D0)).tolist() if segment.db_up else [0.0] * K2
-        )
-        front_cdf = _scalar_jump_cdf(segment.front)
-        db_cdf = _scalar_jump_cdf(segment.db)
-        params.append(
-            (
-                segment.population,
-                1.0 / segment.think_time,
-                front_exit,
-                db_exit,
-                front_cdf,
-                db_cdf,
-            )
-        )
-
-    # Initial state: everyone thinking, phases ~ the first segment's MAPs'
-    # embedded stationary distributions (front drawn first, then database —
-    # the shared initial-draw order of all kernels).
-    front_cum = np.cumsum(segments[0].front.embedded_stationary)
-    db_cum = np.cumsum(segments[0].db.embedded_stationary)
-    fp = _initial_phase(front_cum, draws.uniform())
-    dp = _initial_phase(db_cum, draws.uniform())
-
-    nf = 0
-    ndb = 0
-    clock = 0.0
-    s = 0
-    events = 0
-    completed = np.zeros(num_segments, dtype=np.int64)
-    busy_front = np.zeros(num_segments)
-    busy_db = np.zeros(num_segments)
-    area_front = np.zeros(num_segments)
-    area_db = np.zeros(num_segments)
-    measured = np.zeros(num_segments)
-
-    def _measure(start: float, end: float) -> None:
-        span = min(end, horizon) - max(start, warmup)
-        if span <= 0:
-            return
-        measured[s] += span
-        if nf > 0:
-            busy_front[s] += span
-            area_front[s] += span * nf
-        if ndb > 0:
-            busy_db[s] += span
-            area_db[s] += span * ndb
-
-    while clock < horizon:
-        population, inv_think, front_exit, db_exit, front_cdf, db_cdf = params[s]
-        think_rate = (population - nf - ndb) * inv_think
-        front_rate = front_exit[fp] if nf > 0 else 0.0
-        db_rate = db_exit[dp] if ndb > 0 else 0.0
-        total_rate = think_rate + front_rate + db_rate
-        if total_rate <= 0.0:
-            # Deadlock: every job is queued at a down station and the other
-            # station is empty.  No jump can fire, so the clock advances
-            # deterministically to the segment boundary, consuming no draws
-            # (there is no holding time to sample).
-            segment_end = float(boundaries[s])
-            _measure(clock, segment_end)
-            clock = segment_end
-            if s == num_segments - 1:
-                break
-            s += 1
-            excess = nf + ndb - params[s][0]
-            if excess > 0:
-                drop_front = min(nf, excess)
-                nf -= drop_front
-                ndb -= excess - drop_front
-            continue
-        # A clamped step consumes exactly the draws of a regular step.
-        dt = draws.exponential() / total_rate
-        u = draws.uniform()
-        v = draws.uniform()
-        new_clock = clock + dt
-        segment_end = float(boundaries[s])
-        if new_clock >= segment_end and s < num_segments - 1:
-            # Clamp to the boundary: no transition fires (see module
-            # docstring); the next segment's parameters take over and a
-            # population decrease truncates front first, then database.
-            _measure(clock, segment_end)
-            clock = segment_end
-            s += 1
-            excess = nf + ndb - params[s][0]
-            if excess > 0:
-                drop_front = min(nf, excess)
-                nf -= drop_front
-                ndb -= excess - drop_front
-            continue
-        _measure(clock, new_clock)
-        clock = new_clock
-        if clock >= horizon:
-            break
-        events += 1
-        x = u * total_rate
-        if x < think_rate:
-            nf += 1
-        elif x < think_rate + front_rate:
-            jump = min(bisect_right(front_cdf[fp], v), 2 * K1 - 1)
-            if jump >= K1:
-                fp = jump - K1
-                nf -= 1
-                ndb += 1
-            else:
-                fp = jump
-        else:
-            jump = min(bisect_right(db_cdf[dp], v), 2 * K2 - 1)
-            if jump >= K2:
-                dp = jump - K2
-                ndb -= 1
-                if warmup <= clock < horizon:
-                    completed[s] += 1
-            else:
-                dp = jump
-
-    stats = _segment_stats(
-        segments, boundaries, completed, busy_front, busy_db, area_front, area_db, measured
-    )
-    return _overall_result(horizon, warmup, events, stats)
-
-
-def _scalar_jump_cdf(map_process) -> list[list[float]]:
-    """Per-phase cumulative jump distribution over the 2K outcomes."""
-    rates = -np.diag(map_process.D0)
-    hidden = np.maximum(map_process.D0, 0.0)
-    np.fill_diagonal(hidden, 0.0)
-    marked = np.maximum(map_process.D1, 0.0)
-    return np.cumsum(np.hstack([hidden, marked]) / rates[:, None], axis=1).tolist()
+    sums = simulate_segments(segments, horizon, warmup, rng)
+    return _timeline_results(segments, horizon, warmup, sums)[0]
 
 
 def simulate_timevarying_closed_map_network_batch(
@@ -346,16 +226,4 @@ def simulate_timevarying_closed_map_network_batch(
     segments = list(segments)
     horizon = _validate_timeline(segments, warmup)
     sums = simulate_segments_batch(segments, horizon, warmup, seeds)
-    boundaries = np.cumsum([segment.duration for segment in segments])
-    per_segment = (
-        sums.completed, sums.busy_front, sums.busy_db, sums.area_front, sums.area_db, sums.measured
-    )
-    return [
-        _overall_result(
-            horizon,
-            warmup,
-            int(sums.events[r]),
-            _segment_stats(segments, boundaries, *(field[:, r] for field in per_segment)),
-        )
-        for r in range(len(seeds))
-    ]
+    return _timeline_results(segments, horizon, warmup, sums)

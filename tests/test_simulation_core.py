@@ -16,32 +16,15 @@ class TestEventQueue:
         queue.schedule(3.0, "c")
         assert [queue.pop()[1] for _ in range(3)] == ["a", "b", "c"]
 
-    def test_cancel(self):
-        queue = EventQueue()
-        handle = queue.schedule(1.0, "a")
-        queue.schedule(2.0, "b")
-        queue.cancel(handle)
-        assert queue.pop()[1] == "b"
-
     def test_len_and_bool(self):
         queue = EventQueue()
         assert not queue
         queue.schedule(1.0, "a")
         assert queue and len(queue) == 1
 
-    def test_peek_skips_cancelled(self):
-        queue = EventQueue()
-        handle = queue.schedule(1.0, "a")
-        queue.schedule(5.0, "b")
-        queue.cancel(handle)
-        assert queue.peek_time() == pytest.approx(5.0)
-
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()
-
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
 
 
 class TestProcessorSharingServer:
@@ -72,21 +55,6 @@ class TestProcessorSharingServer:
         server.arrive("short", 1.0, now=0.0)
         completion = server.next_completion_time(0.0)
         assert server.complete_next(completion) == "short"
-
-    def test_busy_time_accounting(self):
-        server = ProcessorSharingServer()
-        server.arrive("a", 1.0, now=0.0)
-        server.complete_next(1.0)
-        server.advance(5.0)
-        assert server.busy_time == pytest.approx(1.0)
-        assert server.completions == 1
-
-    def test_queue_length_integral(self):
-        server = ProcessorSharingServer()
-        server.arrive("a", 2.0, now=0.0)
-        server.arrive("b", 2.0, now=0.0)
-        server.advance(1.0)
-        assert server.queue_length_integral == pytest.approx(2.0)
 
     def test_idle_server_has_no_completion(self):
         server = ProcessorSharingServer()

@@ -1,10 +1,12 @@
-"""Regression tests for the simulator's chunked RNG (seed policy).
+"""Regression tests for the scalar simulation kernel's seed policy.
 
-The event loop consumes unit-exponential and uniform variates from chunked
-buffers (one numpy call per ``RNG_CHUNK`` draws).  These tests pin the seed
-policy: a fixed seed must give bit-identical results across runs, and a
-specific seeded trajectory is pinned so that any accidental change to the
-draw order (buffer sizes, draw types, interleaving) is caught immediately.
+The scalar kernel reads its generator under the seed policy of
+:mod:`repro.simulation.batched`: two initial-phase uniforms, then refills of
+``BATCH_RNG_CHUNK`` exponentials, event uniforms and destination uniforms,
+one of each per step.  These tests pin that policy: a fixed seed must give
+bit-identical results across runs, and seeded runs must reproduce the
+batched kernel's pinned trajectory, so any accidental change to the draw
+order is caught immediately.
 """
 
 from __future__ import annotations
@@ -13,11 +15,7 @@ import numpy as np
 import pytest
 
 from repro.maps.map2 import map2_exponential, map2_from_moments_and_decay
-from repro.simulation.closed_network import (
-    RNG_CHUNK,
-    _ChunkedDraws,
-    simulate_closed_map_network,
-)
+from repro.simulation.closed_network import simulate_closed_map_network
 
 FRONT = map2_exponential(0.02)
 DB = map2_from_moments_and_decay(0.015, 4.0, 0.95)
@@ -29,47 +27,6 @@ def run(seed: int):
     )
 
 
-class TestChunkedDraws:
-    def test_exponential_matches_unchunked_stream(self):
-        """The buffer hands out exactly the generator's batched draws."""
-        draws = _ChunkedDraws(np.random.default_rng(3))
-        values = [draws.exponential() for _ in range(RNG_CHUNK + 5)]
-        reference_rng = np.random.default_rng(3)
-        expected = np.concatenate(
-            [reference_rng.standard_exponential(RNG_CHUNK) for _ in range(2)]
-        )[: len(values)]
-        assert values == expected.tolist()
-
-    def test_uniform_in_unit_interval(self):
-        draws = _ChunkedDraws(np.random.default_rng(4))
-        values = [draws.uniform() for _ in range(1000)]
-        assert all(0.0 <= value < 1.0 for value in values)
-
-    def test_streams_independent_of_interleaving_type(self):
-        """Exponential and uniform buffers refill independently."""
-        draws = _ChunkedDraws(np.random.default_rng(5))
-        first_exp = draws.exponential()
-        _ = [draws.uniform() for _ in range(10)]
-        draws2 = _ChunkedDraws(np.random.default_rng(5))
-        assert first_exp == draws2.exponential()
-
-    def test_uniform_consumption_counter(self):
-        draws = _ChunkedDraws(np.random.default_rng(6))
-        assert draws.uniforms_consumed == 0
-        for expected in range(1, RNG_CHUNK + 3):
-            draws.uniform()
-            assert draws.uniforms_consumed == expected
-
-    def test_initial_phase_draw_is_buffered(self):
-        """The initial service phase consumes a chunked uniform, not a raw
-        generator call — every draw of a run flows through the streams."""
-        from repro.simulation.closed_network import _MapServiceState
-
-        draws = _ChunkedDraws(np.random.default_rng(8))
-        _MapServiceState(DB, draws)
-        assert draws.uniforms_consumed == 1
-
-
 class TestSeedPolicy:
     def test_same_seed_bit_identical(self):
         assert run(7) == run(7)
@@ -78,29 +35,28 @@ class TestSeedPolicy:
         assert run(7) != run(8)
 
     def test_pinned_trajectory(self):
-        """Pin one seeded run; fails if the draw order ever changes.
+        """Seeds 11-14 reproduce the batched kernel's pinned trajectory.
 
-        The exact floats below are a property of (numpy's PCG64 stream,
-        ``RNG_CHUNK``, the order the event loop consumes variates).  If this
-        test breaks, either the seed policy changed deliberately — update the
-        pinned values and the module docstring — or a refactor accidentally
-        perturbed the trajectory.
-
-        Re-pinned once when the initial service phases moved from a raw
-        ``rng.choice`` onto the chunked uniform stream (a deliberate,
-        documented trajectory break: every draw now flows through the
-        buffered streams).
+        The values below are pinned by
+        ``test_simulation_batched.py::TestSeedPolicy::test_pinned_trajectory``
+        on the same network.  The scalar kernel reads the same draws, so the
+        integer counts are equal; it sums sequentially rather than pairwise,
+        so the floats agree to within a few ulps.
         """
-        result = run(12345)
-        assert result.completed == 5769
-        assert result.events == 19472
-        assert result.measured_time == pytest.approx(180.0, abs=1e-9)
-        assert result.throughput == pytest.approx(32.05, rel=1e-12)
-        assert result.front_utilization == pytest.approx(0.6350184165825229, rel=1e-12)
-        assert result.db_utilization == pytest.approx(0.43873763231901675, rel=1e-12)
-        assert result.front_queue_length == pytest.approx(1.627657483965498, rel=1e-12)
-        assert result.db_queue_length == pytest.approx(2.269401730939202, rel=1e-12)
-
-    def test_chunk_size_unchanged(self):
-        """RNG_CHUNK is part of the seed policy; changing it breaks seeds."""
-        assert RNG_CHUNK == 4096
+        completed = [5792, 5622, 5461, 5707]
+        events = [19122, 18311, 18312, 18898]
+        results = [run(seed) for seed in (11, 12, 13, 14)]
+        assert [r.completed for r in results] == completed
+        assert [r.events for r in results] == events
+        pinned = [
+            (32.17777777777778, 0.642184603795076, 0.43217917815073853,
+             1.7185355220772156, 2.2172262097956303),
+            (31.233333333333334, 0.6206235866050244, 0.4702394496323113,
+             1.6619717543318353, 2.7946304843193785),
+        ]
+        for result, floats in zip(results, pinned):
+            assert result.measured_time == pytest.approx(180.0, rel=1e-12)
+            assert (
+                result.throughput, result.front_utilization, result.db_utilization,
+                result.front_queue_length, result.db_queue_length,
+            ) == pytest.approx(floats, rel=1e-12)
