@@ -13,15 +13,18 @@ Tracks the performance trajectory of the repository's hottest paths:
   (~2M and ~4.5M states), which only the matrix-free tier can touch without
   gigabytes of fill,
 * ``sweep`` — warm-started ``solve_sweep`` over the materialized ladder,
-* ``simulation`` — completion rate of the scalar simulation kernel,
-* ``sim_loop`` — scalar jump-chain kernel vs the vectorized
-  batched-replication kernel on the bursty Figure-9 network (the fig4-scale
-  sweep workload): per-cell seconds and aggregate events/second for
-  replication counts from 16 up.  The scalar side runs every replication serially; at R=1024 its
-  ladder rung would cost minutes, so rungs marked ``scalar_extrapolated``
-  price the scalar kernel from its measured per-replication seconds at the
-  same horizon (replications are independent runs — the scalar cost is
-  exactly linear in R).
+* ``simulation`` — completion rate of the simulation kernel,
+* ``sim_loop`` — the two entries of the one simulation kernel on the bursty
+  Figure-9 network (the fig4-scale sweep workload): the per-seed entry
+  called once per replication (the ``scalar_*`` columns) and the
+  replication-set entry called once per rung (the ``batched_*`` columns),
+  with per-cell seconds and aggregate events/second for replication counts
+  from 16 up.  Both run the same kernel once per seed, so ``speedup`` sits
+  near 1 and measures the set entry's overhead.  Rungs marked
+  ``scalar_extrapolated`` price the per-seed side from its measured
+  per-replication seconds at the same horizon (replications are independent
+  runs, so the cost is exactly linear in R); the set side is always
+  measured, so the full grid's R=1024 rung takes minutes.
 
 Run from the repository root::
 
@@ -208,12 +211,12 @@ def bench_simulation(horizon: float) -> dict:
 
 
 def bench_sim_loop(point_keys: list[str]) -> list[dict]:
-    """Scalar vs batched simulation kernel on the Figure-9 network.
+    """Per-seed vs replication-set simulation entry on the Figure-9 network.
 
-    One row per replication-count rung.  Both kernels simulate the *same
-    work* (R replications, same horizon/warmup, per-replication seeds), so
-    the speedup is a pure kernel comparison; ``events`` counts jump-chain
-    transitions, the common work measure of the two kernels.
+    One row per replication-count rung.  Both entries simulate the *same
+    work* (R replications, same horizon/warmup, per-replication seeds) on
+    the one kernel; ``events`` counts jump-chain transitions, the common
+    work measure.
     """
     import numpy as np
 

@@ -9,15 +9,12 @@
                                          [--cache-dir DIR] [--json]
                                          [--cell-timeout S] [--retries N]
                                          [--max-failures N]
-                                         [--sim-backend {event,batched}]
     python -m repro.experiments run scenarios/flash_crowd.json [...]
     python -m repro.experiments sweep fig9 --populations 50,100,200
                                          [--think-times 0.5,1.0]
-                                         [--solvers ctmc,mva] [--tier TIER]
-                                         [--sim-backend {event,batched}] [...]
+                                         [--solvers ctmc,mva] [--tier TIER] [...]
     python -m repro.experiments export table1 [--format csv] [--output FILE]
                                          [--artifacts DIR] [--cache-dir DIR]
-                                         [--sim-backend {event,batched}]
     python -m repro.experiments cache ls [--cache-dir DIR]
     python -m repro.experiments cache rm <scenario> [--cache-dir DIR]
     python -m repro.experiments cache gc [--max-age-days D] [--cache-dir DIR]
@@ -45,14 +42,7 @@ vs served from the cache, how many artifact bytes were written, and the
 largest per-cell memory footprint.  ``sweep`` derives an ad-hoc grid from a
 registered workload — overriding its population axis, think time, solver set
 and (for exact-CTMC cells) the solver tier — and runs it through the same
-engine (one derived scenario per requested think time).  ``--sim-backend``
-(on ``run`` and ``sweep``) forces the simulation kernel of every
-``simulation`` solver — the scalar ``event`` loop or the vectorized
-``batched`` replication kernel — mirroring how ``--tier`` forces the
-exact-CTMC tier; the override is stored in the solver options (so it
-participates in the spec hash) and the derived scenario name grows a
-``-{backend}`` suffix so its cache entries stay legible and are never
-gc-swept as stale versions of the registered scenario.  ``export`` pulls a
+engine (one derived scenario per requested think time).  ``export`` pulls a
 *cached* run straight to CSV without re-solving anything: the scalar-metrics
 table on stdout or ``--output``, and with ``--artifacts DIR`` one CSV per
 artifact-bearing cell (e.g. the Table-1 response-time distributions).
@@ -143,12 +133,10 @@ from repro.experiments.spec import (
     TestbedWorkload,
 )
 from repro.queueing.ctmc import SOLVER_TIERS
-from repro.simulation.batched import SIM_BACKENDS
 
 __all__ = [
     "main",
     "format_table",
-    "apply_sim_backend",
     "build_sweep_spec",
 ]
 
@@ -315,13 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = commands.add_parser("run", help="run (or load from cache) a scenario")
     run.add_argument("scenario", help="registered scenario name or path to a pack .json file")
-    run.add_argument(
-        "--sim-backend",
-        choices=SIM_BACKENDS,
-        default=None,
-        help="force the simulation kernel of every simulation solver "
-        "(default: the solver's own sim_backend option, else the scalar kernel)",
-    )
     _add_runner_arguments(run)
 
     sweep = commands.add_parser(
@@ -355,13 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="force the exact-CTMC solver tier for ctmc cells "
         "(default: size-based selection)",
     )
-    sweep.add_argument(
-        "--sim-backend",
-        choices=SIM_BACKENDS,
-        default=None,
-        help="force the simulation kernel of every simulation solver "
-        "(default: the solver's own sim_backend option, else the scalar kernel)",
-    )
     _add_runner_arguments(sweep)
 
     export = commands.add_parser(
@@ -370,13 +344,6 @@ def _build_parser() -> argparse.ArgumentParser:
     export.add_argument("scenario", help="registered scenario name or path to a pack .json file")
     export.add_argument(
         "--format", choices=("csv",), default="csv", help="output format (csv)"
-    )
-    export.add_argument(
-        "--sim-backend",
-        choices=SIM_BACKENDS,
-        default=None,
-        help="export the cache entry of the backend-overridden run "
-        "(the same derived spec `run --sim-backend` caches under)",
     )
     export.add_argument(
         "--output", default=None, help="metrics CSV path (default: stdout)"
@@ -687,37 +654,6 @@ def _print_run_outcome(spec: ScenarioSpec, result: ExperimentResult, runner) -> 
         print(f"cached at {runner.cache.path(spec)}")
 
 
-def apply_sim_backend(spec: ScenarioSpec, backend: str) -> ScenarioSpec:
-    """Force the simulation backend of every ``simulation`` solver.
-
-    The override lives in the solver options, so it participates in the spec
-    content hash; the scenario name grows a ``-{backend}`` suffix so the
-    derived cache entries stay legible and ``cache gc`` (which prunes
-    registered names whose hash changed) never sweeps them as stale versions
-    of the base scenario.  Raises :class:`ValueError` when the scenario has
-    no simulation solver — the flag would silently do nothing.
-    """
-    if backend not in SIM_BACKENDS:
-        raise ValueError(f"unknown sim backend {backend!r}; expected one of {SIM_BACKENDS}")
-    if not any(solver.kind == "simulation" for solver in spec.solvers):
-        raise ValueError(
-            f"scenario {spec.name!r} has no simulation solver; --sim-backend "
-            "would have no effect"
-        )
-    return _override_solver_option(spec, "simulation", "sim_backend", backend)
-
-
-def _override_solver_option(spec: ScenarioSpec, kind: str, option: str, value: str) -> ScenarioSpec:
-    """Set ``option=value`` on every ``kind`` solver and suffix the name ``-{value}``."""
-    solvers = tuple(
-        replace(solver, options={**solver.options, option: value})
-        if solver.kind == kind
-        else solver
-        for solver in spec.solvers
-    )
-    return replace(spec, name=f"{spec.name}-{value}", solvers=solvers)
-
-
 def _runner_from_args(args) -> ExperimentRunner:
     """The runner of ``run``/``sweep``; ValueError when the flags conflict."""
     if args.backend == "fleet" and args.no_cache:
@@ -736,8 +672,6 @@ def _runner_from_args(args) -> ExperimentRunner:
 
 def _cmd_run(args, spec) -> int:
     try:
-        if args.sim_backend is not None:
-            spec = apply_sim_backend(spec, args.sim_backend)
         runner = _runner_from_args(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -801,16 +735,21 @@ def build_sweep_spec(
         solver_specs = tuple(SolverSpec(kind=kind) for kind in dict.fromkeys(solvers))
     else:
         solver_specs = base.solvers
-    spec = ScenarioSpec(
+    if tier is not None:
+        solver_specs = tuple(
+            replace(solver, options={**solver.options, "tier": tier})
+            if solver.kind == "ctmc"
+            else solver
+            for solver in solver_specs
+        )
+        name += f"-{tier}"
+    return ScenarioSpec(
         name=name,
         description=f"ad-hoc sweep derived from {base.name!r}",
         workload=new_workload,
         solvers=solver_specs,
         replication=base.replication,
     )
-    if tier is not None:
-        spec = _override_solver_option(spec, "ctmc", "tier", tier)
-    return spec
 
 
 def _cmd_sweep(args, base: ScenarioSpec) -> int:
@@ -820,8 +759,6 @@ def _cmd_sweep(args, base: ScenarioSpec) -> int:
             build_sweep_spec(base, args.populations, think_time, args.solvers, args.tier)
             for think_time in (think_times if think_times is not None else [None])
         ]
-        if args.sim_backend is not None:
-            specs = [apply_sim_backend(spec, args.sim_backend) for spec in specs]
         runner = _runner_from_args(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -910,12 +847,6 @@ def _cmd_export(args, spec) -> int:
 
     from itertools import zip_longest
 
-    try:
-        if args.sim_backend is not None:
-            spec = apply_sim_backend(spec, args.sim_backend)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     cache = ResultCache(args.cache_dir or default_cache_dir())
     result = cache.load(spec)
     if result is None:

@@ -13,6 +13,7 @@ directory::
         .fleet/
             campaign.json        # unit list + policy, written by the supervisor
             leases/<unit>.json   # at most one per unit: owner, heartbeat, attempt
+            leases/<unit>.reaped # a reaped lease, held until its charge is on disk
             done/<unit>.json     # exactly-once commit marker
             results/<unit>.json  # per-unit result shard (manifest row records)
             failed/<unit>.json   # per-unit permanent-failure record
@@ -32,13 +33,16 @@ queue:
   ``done/`` marker with ``O_EXCL`` — so even a forced double claim commits
   **exactly once** and the loser discards its result,
 * anyone (worker or supervisor) *reaps* expired leases: a stale heartbeat
-  becomes a ``timeout`` attempt, a dead same-host pid a ``crash`` attempt;
+  becomes a ``timeout`` attempt, a dead same-host pid a ``crash`` attempt.
+  The reaper renames the lease to a tombstone, charges the attempt, then
+  drops the tombstone, so a claim never reads the count from before the
+  charge;
   reaped units re-enter the queue with exponential backoff until
   ``max_attempts``, after which a typed per-cell failure record lands in
   ``failed/`` — PR 7's retry semantics, re-expressed as files.
 
 Work units are the runner's existing content-addressed shapes (single cells,
-or every pending replication of a batched-simulation grid point), and cell
+or every pending replication of a simulation grid point), and cell
 seeds derive from the spec — never from attempt count, owner or wall clock —
 so a SIGKILLed worker loses nothing but its in-flight attempt, and the fleet
 converges on a manifest whose :func:`~repro.experiments.cache.manifest_fingerprint`
@@ -217,7 +221,7 @@ class FleetPolicy:
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One claimable unit: a single cell or a batched replication group.
+    """One claimable unit: a single cell or a simulation replication group.
 
     The id is content-addressed (a digest of the covered cell keys), so the
     same pending set always yields the same queue files — a resumed campaign
@@ -256,11 +260,10 @@ def build_units(spec: ScenarioSpec, pending: list[Cell]) -> list[WorkUnit]:
     """Decompose pending cells into claimable units.
 
     Uses the runner's existing shapes: every pending replication of a
-    batched-simulation grid point is one unit (one vectorized kernel call),
-    everything else is a unit per cell.  The kernel is batch-composition
-    independent, so resumed campaigns (whose groups hold only the
-    replications a previous run did not finish) reproduce the original rows
-    bit-identically.
+    simulation grid point is one unit (one replication-set call), everything
+    else is a unit per cell.  A seed's result does not depend on its set, so
+    resumed campaigns (whose groups hold only the replications a previous
+    run did not finish) reproduce the original rows bit-identically.
     """
     groups, singles = simulation_batch_groups(spec, pending)
     units = []
@@ -435,6 +438,9 @@ class FleetQueue:
     def _lease_path(self, unit_id: str) -> Path:
         return self.leases / f"{unit_id}.json"
 
+    def _tombstone_path(self, unit_id: str) -> Path:
+        return self.leases / f"{unit_id}.reaped"
+
     def _settled(self, unit_id: str) -> bool:
         return (self.done / f"{unit_id}.json").exists() or (
             self.failed / f"{unit_id}.json").exists()
@@ -471,12 +477,18 @@ class FleetQueue:
                 continue
             busy = True
             self._reap_lease_if_expired(unit.id, now)
+            # The lease, then the tombstone, then the count: a reaper drops
+            # its tombstone only once the charge is on disk, so a unit found
+            # with neither shows every charge.
+            lease = self._lease_path(unit.id)
+            held = lease.exists()
+            if not held and self._tombstone_path(unit.id).exists():
+                continue
             state = self._attempt_state(unit.id)
             if state["not_before"] > now:
                 continue
             attempt = state["attempts"] + 1
-            lease = self._lease_path(unit.id)
-            if lease.exists():
+            if held:
                 directive = None
                 for key in unit.keys:
                     directive = matching_directive(
@@ -572,6 +584,7 @@ class FleetQueue:
         payload = _read_json(path)
         if payload is None:
             if not path.exists():
+                self._recover_tombstone(unit_id, now)
                 return 0
             # Unreadable lease: fall back to its mtime.
             try:
@@ -607,12 +620,40 @@ class FleetQueue:
                 )
             else:
                 return 0
-        # Whoever wins the unlink charges the failed attempt — losers of the
-        # race must not double-charge.
-        if not self._unlink_once(path):
+        # Whoever wins the rename charges the failed attempt — losers of the
+        # race find no lease and must not double-charge.  The tombstone keeps
+        # the unit held until the charge is on disk.
+        tombstone = self._tombstone_path(unit_id)
+        try:
+            os.rename(path, tombstone)
+        except FileNotFoundError:
             return 0
         self.record_attempt_failure(unit_id, kind, message)
+        tombstone.unlink(missing_ok=True)
         return 1
+
+    def _recover_tombstone(self, unit_id: str, now: float) -> None:
+        """Finish the reap of a reaper that died holding a tombstone.
+
+        A live reaper drops its tombstone within milliseconds of the rename
+        (which stamps the tombstone's ctime), so one older than the lease
+        timeout is orphaned.  If its attempt was charged the tombstone just
+        goes; otherwise it becomes the lease again and is reaped as usual.
+        """
+        tombstone = self._tombstone_path(unit_id)
+        try:
+            if now - tombstone.stat().st_ctime <= self.policy.lease_timeout:
+                return
+        except FileNotFoundError:
+            return
+        payload = _read_json(tombstone)
+        attempt = payload.get("attempt") if isinstance(payload, dict) else None
+        if not isinstance(attempt, int) or self._attempt_state(unit_id)["attempts"] < attempt:
+            try:
+                os.link(tombstone, self._lease_path(unit_id))
+            except OSError:
+                return
+        tombstone.unlink(missing_ok=True)
 
     @staticmethod
     def _unlink_once(path: Path) -> bool:

@@ -9,8 +9,8 @@ name                what it reproduces / explores
 ``fig4``            measured EB sweeps of the three TPC-W mixes
 ``fig5``–``fig8``   the 100-EB runs behind the time-series figures
 ``fig9``            closed MAP network: CTMC vs simulation vs MVA vs bounds
-``fig9_ci``         the fig9 network with 64 batched simulation replications
-                    per grid point (tight confidence intervals vs the CTMC)
+``fig9_ci``         the fig9 network with 64 simulation replications per
+                    grid point (tight confidence intervals vs the CTMC)
 ``fig10``           MVA prediction error against measurements
 ``fig11``           monitoring-granularity study (Z_estim = 0.5 s vs 7 s)
 ``fig12``           the headline MAP-model vs MVA vs measured comparison
@@ -20,8 +20,8 @@ name                what it reproduces / explores
 ``grid_burstiness`` synthetic burstiness x population x variability grid
 ``grid_variability``synthetic service-variability sweep (renewal case)
 ``smoke``           tiny analytic-only scenario (fast engine self-check)
-``smoke_tv``        tiny time-varying scenario (piecewise solvers + both
-                    simulator kernels on a three-segment regime switch)
+``smoke_tv``        tiny time-varying scenario (piecewise solvers +
+                    simulation on a three-segment regime switch)
 ==================  ======================================================
 
 Time-varying what-if studies beyond ``smoke_tv`` ship as scenario *packs*
@@ -278,9 +278,8 @@ def _fig9() -> ScenarioSpec:
 def _fig9_ci() -> ScenarioSpec:
     return ScenarioSpec(
         name="fig9_ci",
-        description="Figure 9 network with 64 batched simulation replications per "
-        "grid point: sub-percent confidence intervals cross-checked against the "
-        "exact CTMC (the workload class the vectorized kernel exists for)",
+        description="Figure 9 network with 64 simulation replications per grid "
+        "point: sub-percent confidence intervals cross-checked against the exact CTMC",
         workload=SyntheticWorkload(
             front=MapSpec(family="exponential", mean=0.02),
             db_mean=0.015,
@@ -291,10 +290,7 @@ def _fig9_ci() -> ScenarioSpec:
         ),
         solvers=(
             SolverSpec(kind="ctmc"),
-            SolverSpec(
-                kind="simulation",
-                options={"horizon": 2000.0, "warmup": 200.0, "sim_backend": "batched"},
-            ),
+            SolverSpec(kind="simulation", options={"horizon": 2000.0, "warmup": 200.0}),
         ),
         replication=ReplicationPolicy(replications=64, base_seed=2008, policy="per_cell"),
     )
@@ -423,8 +419,7 @@ def _smoke_tv() -> ScenarioSpec:
     return ScenarioSpec(
         name="smoke_tv",
         description="Tiny time-varying self-check: a three-segment regime switch "
-        "solved piecewise (stationary and uniformized-transient) and simulated "
-        "with the batched kernel",
+        "solved piecewise (stationary and uniformized-transient) and simulated",
         workload=TimeVaryingWorkload(
             front=MapSpec(family="exponential", mean=0.05),
             db_mean=0.04,
@@ -441,10 +436,7 @@ def _smoke_tv() -> ScenarioSpec:
         solvers=(
             SolverSpec(kind="piecewise_ctmc"),
             SolverSpec(kind="transient_ctmc"),
-            SolverSpec(
-                kind="simulation",
-                options={"warmup": 5.0, "sim_backend": "batched"},
-            ),
+            SolverSpec(kind="simulation", options={"warmup": 5.0}),
         ),
         replication=ReplicationPolicy(replications=4, base_seed=11, policy="per_cell"),
     )

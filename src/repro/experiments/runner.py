@@ -8,15 +8,13 @@ spec (see :meth:`ScenarioSpec.cells`) — completion order does not matter, so
 work units stream back as they finish and the final rows are re-assembled in
 grid order.
 
-Simulation cells whose effective backend is ``batched`` (see
-:func:`~repro.experiments.solvers.simulation_backend`) are not dispatched as
+Simulation cells of synthetic and timeline workloads are not dispatched as
 ``R`` separate one-replication tasks: the runner groups every pending
 replication of a grid point into one work unit and executes the whole set in
-a single call of the vectorized kernel
-(:func:`~repro.experiments.solvers.execute_simulation_group`).  The kernel
-is batch-composition independent, so a resumed run — whose groups contain
-only the replications a killed run did not finish — still reproduces the
-original rows bit-identically.
+one call (:func:`~repro.experiments.solvers.execute_simulation_group`).  A
+seed's result does not depend on the set it runs in, so a resumed run —
+whose groups contain only the replications a killed run did not finish —
+still reproduces the original rows bit-identically.
 
 Parallel execution runs under a **supervision envelope**
 (:mod:`repro.experiments.supervision`): each work unit gets its own worker
@@ -94,8 +92,8 @@ def _execute_payload(payload) -> list[tuple[str, CellResult]]:
     """Worker entry point; reconstructs the spec and cell(s) from plain dicts.
 
     A payload is one work unit: either a single cell (``"cell"``) or every
-    pending replication of one batched-simulation grid point (``"group"``),
-    which the vectorized kernel executes in a single call.
+    pending replication of one simulation grid point (``"group"``), which
+    runs as one replication set.
     """
     kind, spec_dict, body, keep_artifacts = payload
     spec = ScenarioSpec.from_dict(spec_dict)
@@ -298,8 +296,8 @@ class ExperimentRunner:
         # Persisting artifacts requires them to survive the worker boundary;
         # without a cache, stripping them early keeps serial runs lean.
         keep = self.keep_artifacts or self.cache is not None
-        # Whole replication sets of batched-simulation grid points are one
-        # work unit each — one vectorized kernel call instead of R tasks.
+        # Whole replication sets of simulation grid points are one work unit
+        # each — one task instead of R.
         groups, singles = simulation_batch_groups(spec, cells)
         jobs = self._effective_jobs(len(groups) + len(singles))
         supervised = (

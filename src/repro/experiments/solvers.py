@@ -24,21 +24,16 @@ Expensive shared inputs (monitoring runs for fitted models, the Figure-1
 trace set) are memoised per process, so a multiprocessing worker pays for
 them once however many cells it executes.
 
-Simulation backends
--------------------
-``simulation`` cells run on one of two kernels (recorded in
-``result.meta["sim_backend"]``): the scalar jump-chain kernel (``event``,
-the default) or the vectorized batched-replication kernel
-(:mod:`repro.simulation.batched`, requested with ``{"sim_backend":
-"batched"}`` in the solver options).  Both read a cell's seed stream the
-same way, so they give the same trajectory; the backend changes speed and
-the last-ulp rounding of time averages.  The effective backend is a
-function of the *spec alone* (:func:`simulation_backend`): a batched
-request falls back to the scalar kernel when the scenario declares a single
-replication, so a cell computes identical values whether it is executed
-alone, in a fresh batch, or in the re-batched remainder of a resumed run.
-:func:`simulation_batch_groups` is how the runner partitions pending cells
-into whole-grid-point batches for :func:`execute_simulation_group`.
+Simulation replication sets
+---------------------------
+``simulation`` cells run the one jump-chain kernel of
+:mod:`repro.simulation.closed_network` on ``default_rng(cell.seed)``.
+:func:`simulation_batch_groups` is how the runner partitions the pending
+simulation cells of a synthetic or timeline workload into one work unit per
+grid point, which :func:`execute_simulation_group` runs through the
+replication-set entries.  A seed's result does not depend on the set it
+runs in, so a cell computes identical values whether it is executed alone,
+in a full set, or in the remainder of a resumed run.
 """
 
 from __future__ import annotations
@@ -59,12 +54,10 @@ from repro.experiments.spec import (
     TimeVaryingWorkload,
     TraceWorkload,
 )
-from repro.simulation.batched import SIM_BACKENDS
 
 __all__ = [
     "execute_cell",
     "execute_simulation_group",
-    "simulation_backend",
     "simulation_batch_groups",
     "warm_shared_inputs",
 ]
@@ -168,46 +161,23 @@ def _fitted_model_args(workload: TestbedWorkload, cell: Cell) -> dict:
 # ----------------------------------------------------------------------
 # Synthetic closed MAP network
 # ----------------------------------------------------------------------
-def simulation_backend(spec: ScenarioSpec, cell: Cell) -> str:
-    """Effective simulation backend of one cell — a function of the spec.
-
-    The ``sim_backend`` solver option requests a kernel; ``batched`` falls
-    back to the scalar kernel when the scenario declares a single
-    replication (there is nothing to batch, and the scalar kernel is the
-    cheaper path for one stream).  The decision must depend only on the spec
-    — never on how many cells happen to execute together — so that a cell
-    resumed from a partial cache entry reproduces its original values.
-    """
-    backend = str(cell.options.get("sim_backend", "event"))
-    if backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown sim_backend {backend!r}; expected one of {SIM_BACKENDS}"
-        )
-    if backend == "batched" and spec.replication.replications < 2:
-        return "event"
-    return backend
-
-
 def simulation_batch_groups(
     spec: ScenarioSpec, cells: list[Cell]
 ) -> tuple[list[list[Cell]], list[Cell]]:
-    """Partition cells into batched-simulation groups and the remainder.
+    """Partition cells into simulation replication sets and the remainder.
 
     A group is every pending replication of one ``(solver label, grid
-    point)`` whose effective backend is ``batched``; the runner hands each
-    group to :func:`execute_simulation_group` as one work unit.  Group size
-    does not matter for the results (the kernel is batch-composition
-    independent), only for how well one kernel call amortises.
+    point)`` of a synthetic or timeline workload; the runner hands each
+    group to :func:`execute_simulation_group` as one work unit, so a grid
+    point costs one worker task, not one per replication.  Group size does
+    not matter for the results: each seed runs on its own generator.
     """
     if not isinstance(spec.workload, (SyntheticWorkload, TimeVaryingWorkload)):
         return [], list(cells)
     groups: dict[tuple, list[Cell]] = {}
     rest: list[Cell] = []
     for cell in cells:
-        if (
-            cell.solver_kind == "simulation"
-            and simulation_backend(spec, cell) == "batched"
-        ):
+        if cell.solver_kind == "simulation":
             key = (cell.solver_label, tuple(sorted(
                 (name, repr(value)) for name, value in cell.params.items()
             )))
@@ -244,15 +214,14 @@ def _simulation_metrics(result) -> dict:
 def execute_simulation_group(
     spec: ScenarioSpec, cells: list[Cell]
 ) -> list[tuple[str, CellResult]]:
-    """Run every replication of one simulation grid point in one kernel call.
+    """Run every replication of one simulation grid point in one call.
 
     All cells must share their solver label and grid parameters (the runner's
     :func:`simulation_batch_groups` guarantees it); their seeds become the
-    batched kernel's per-replication seeds, so each returned row is
-    bit-identical to executing its cell alone.  The kernel's wall-clock time
-    is split evenly across the rows (``elapsed_seconds``), with the whole
-    batch's cost and size recorded in ``meta`` (``sim_batch_seconds``,
-    ``sim_batch_size``).
+    replication-set entry's seeds, so each returned row is bit-identical to
+    executing its cell alone.  The call's wall-clock time is split evenly
+    across the rows (``elapsed_seconds``), with the whole set's cost and
+    size recorded in ``meta`` (``sim_batch_seconds``, ``sim_batch_size``).
     """
     from repro.simulation.batched import simulate_closed_map_network_batch
     from repro.simulation.timevarying import simulate_timevarying_closed_map_network_batch
@@ -261,7 +230,7 @@ def execute_simulation_group(
         return []
     workload = spec.workload
     if not isinstance(workload, (SyntheticWorkload, TimeVaryingWorkload)):
-        raise ValueError("batched simulation requires a synthetic or timevarying workload")
+        raise ValueError("a simulation group requires a synthetic or timevarying workload")
     first = cells[0]
     if any(
         cell.params != first.params or cell.solver_label != first.solver_label
@@ -307,7 +276,6 @@ def execute_simulation_group(
                 elapsed_seconds=share,
                 artifact=artifact,
                 meta={
-                    "sim_backend": "batched",
                     "sim_batch_size": len(cells),
                     "sim_batch_seconds": elapsed,
                     "peak_rss_mb": peak_rss,
@@ -321,7 +289,6 @@ def _execute_synthetic(spec: ScenarioSpec, cell: Cell):
     from repro.queueing.bounds import asymptotic_throughput_bounds, balanced_job_bounds
     from repro.queueing.map_network import MapClosedNetworkSolver
     from repro.queueing.mva import mva_closed_network
-    from repro.simulation.batched import simulate_closed_map_network_batch
     from repro.simulation.closed_network import simulate_closed_map_network
 
     workload = spec.workload
@@ -386,26 +353,16 @@ def _execute_synthetic(spec: ScenarioSpec, cell: Cell):
     if cell.solver_kind == "simulation":
         horizon = float(cell.options.get("horizon", DEFAULT_SIM_HORIZON))
         warmup = float(cell.options.get("warmup", DEFAULT_SIM_WARMUP))
-        backend = simulation_backend(spec, cell)
-        if backend == "batched":
-            # A batch of one: same kernel and same per-replication stream as
-            # when the runner groups this cell with its sibling replications,
-            # so results agree across every execution path.
-            result = simulate_closed_map_network_batch(
-                front, db, think, population,
-                horizon=horizon, warmup=warmup, seeds=[cell.seed],
-            )[0]
-        else:
-            result = simulate_closed_map_network(
-                front,
-                db,
-                think,
-                population,
-                horizon=horizon,
-                warmup=warmup,
-                rng=np.random.default_rng(cell.seed),
-            )
-        return _simulation_metrics(result), None, {"sim_backend": backend}
+        result = simulate_closed_map_network(
+            front,
+            db,
+            think,
+            population,
+            horizon=horizon,
+            warmup=warmup,
+            rng=np.random.default_rng(cell.seed),
+        )
+        return _simulation_metrics(result), None, {}
     raise ValueError(
         f"solver {cell.solver_kind!r} is not applicable to synthetic workloads"
     )
@@ -441,10 +398,7 @@ def _execute_timevarying(spec: ScenarioSpec, cell: Cell):
         solve_piecewise_stationary,
         solve_piecewise_transient,
     )
-    from repro.simulation.timevarying import (
-        simulate_timevarying_closed_map_network,
-        simulate_timevarying_closed_map_network_batch,
-    )
+    from repro.simulation.timevarying import simulate_timevarying_closed_map_network
 
     workload = spec.workload
     segments = workload.resolved_segments()
@@ -499,22 +453,10 @@ def _execute_timevarying(spec: ScenarioSpec, cell: Cell):
 
     if cell.solver_kind == "simulation":
         warmup = float(cell.options.get("warmup", 0.0))
-        backend = simulation_backend(spec, cell)
-        if backend == "batched":
-            # A batch of one: same per-replication stream as when the runner
-            # groups this cell with its sibling replications.
-            result = simulate_timevarying_closed_map_network_batch(
-                segments, warmup=warmup, seeds=[cell.seed]
-            )[0]
-        else:
-            result = simulate_timevarying_closed_map_network(
-                segments, warmup=warmup, rng=np.random.default_rng(cell.seed)
-            )
-        return (
-            _simulation_metrics(result),
-            _timevarying_sim_artifact(result),
-            {"sim_backend": backend},
+        result = simulate_timevarying_closed_map_network(
+            segments, warmup=warmup, rng=np.random.default_rng(cell.seed)
         )
+        return _simulation_metrics(result), _timevarying_sim_artifact(result), {}
 
     raise ValueError(
         f"solver {cell.solver_kind!r} is not applicable to time-varying workloads"

@@ -6,17 +6,16 @@
   based on virtual (attained-service) time,
 * :mod:`~repro.simulation.trace_queue` — the trace-driven open queue used for
   Table 1 (Poisson arrivals, service times read from a trace, FCFS),
-* :mod:`~repro.simulation.closed_network` — the scalar jump-chain kernel of
+* :mod:`~repro.simulation.closed_network` — the one jump-chain kernel of
   the abstract closed network of Figure 9 (delay station plus two servers
   whose service processes are MAPs), used to cross-validate the analytical
-  solver; a static network runs as a one-segment timeline,
+  solver, and its seed policy; a static network runs as a one-segment
+  timeline,
 * :mod:`~repro.simulation.timevarying` — the entry points for
   *time-varying* timelines (diurnal curves, flash crowds, regime-switching
   MAPs, outages), with per-segment statistics,
-* :mod:`~repro.simulation.batched` — the vectorized kernel that advances
-  every replication in lockstep as numpy arrays (the ``batched`` backend),
-  and the one seed policy both kernels follow: the same seed gives the same
-  trajectory on either backend,
+* :mod:`~repro.simulation.batched` — the replication-set entry of a static
+  network: the kernel once per seed,
 * :mod:`~repro.simulation.random_streams` — seeded random-stream management.
 """
 
@@ -24,14 +23,11 @@ from repro.simulation.events import EventQueue
 from repro.simulation.ps_server import ProcessorSharingServer
 from repro.simulation.trace_queue import TraceQueueResult, simulate_mtrace1
 from repro.simulation.closed_network import (
+    BATCH_RNG_CHUNK,
     ClosedNetworkSimResult,
     simulate_closed_map_network,
 )
-from repro.simulation.batched import (
-    BATCH_RNG_CHUNK,
-    SIM_BACKENDS,
-    simulate_closed_map_network_batch,
-)
+from repro.simulation.batched import simulate_closed_map_network_batch
 from repro.simulation.timevarying import (
     SegmentSimStats,
     TimeVaryingSimResult,
@@ -49,7 +45,6 @@ __all__ = [
     "simulate_closed_map_network",
     "simulate_closed_map_network_batch",
     "BATCH_RNG_CHUNK",
-    "SIM_BACKENDS",
     "SegmentSimStats",
     "TimeVaryingSimResult",
     "simulate_timevarying_closed_map_network",

@@ -3,11 +3,11 @@
 A *timeline* is a sequence of :class:`~repro.queueing.transient.
 NetworkSegment` entries — diurnal load curves, flash-crowd population ramps,
 regime-switching service MAPs, server slowdown and recovery.  This module
-holds the two timeline entry points: one runs the scalar kernel
-(:func:`repro.simulation.closed_network.simulate_segments`), the other the
-lockstep kernel of :mod:`repro.simulation.batched`.  A static network is the
-one-segment case of both kernels.  They follow the trajectory semantics of
-the transient solver layer (:mod:`repro.queueing.transient`):
+holds the two timeline entry points, one per seed and one per replication
+set; both run the kernel
+(:func:`repro.simulation.closed_network.simulate_segments`), of which a
+static network is the one-segment case.  They follow the trajectory
+semantics of the transient solver layer (:mod:`repro.queueing.transient`):
 
 * service-MAP regime switches carry the current phase over (all segments
   must use MAPs of equal orders),
@@ -27,9 +27,10 @@ station is empty) is a deadlock with total rate zero: the clock advances
 deterministically to the segment boundary (or the horizon).  A clamped or
 deadlocked step still consumes its draws and fires nothing.
 
-Both kernels read their generators under the one seed policy documented in
-:mod:`repro.simulation.batched`, so a seed gives the same trajectory on
-either backend.  Statistics are collected **per segment** (time-weighted
+The kernel reads its generators under the seed policy documented in
+:mod:`repro.simulation.closed_network`, so each seed of a replication set
+gives the result the per-seed entry gives on ``default_rng(seed)``.
+Statistics are collected **per segment** (time-weighted
 over each segment's overlap with the post-warmup measurement window) and
 aggregated over the whole timeline, so simulated segment estimates compare
 directly with the per-segment metrics of the piecewise solvers.
@@ -43,8 +44,11 @@ from typing import Sequence
 import numpy as np
 
 from repro.queueing.transient import NetworkSegment, _require_equal_orders
-from repro.simulation.batched import SegmentIntegrals, simulate_segments_batch
-from repro.simulation.closed_network import simulate_segments
+from repro.simulation.closed_network import (
+    SegmentIntegrals,
+    simulate_replications,
+    simulate_segments,
+)
 
 __all__ = [
     "SegmentSimStats",
@@ -171,26 +175,23 @@ def _overall_result(
     )
 
 
-def _timeline_results(
+def _timeline_result(
     segments: Sequence[NetworkSegment],
     horizon: float,
     warmup: float,
     sums: SegmentIntegrals,
-) -> list[TimeVaryingSimResult]:
-    """One :class:`TimeVaryingSimResult` per replication of a kernel run."""
+) -> TimeVaryingSimResult:
+    """The :class:`TimeVaryingSimResult` of one kernel run."""
     boundaries = np.cumsum([segment.duration for segment in segments])
-    per_segment = (
-        sums.completed, sums.busy_front, sums.busy_db, sums.area_front, sums.area_db, sums.measured
+    return _overall_result(
+        horizon,
+        warmup,
+        int(sums.events),
+        _segment_stats(
+            segments, boundaries, sums.completed, sums.busy_front, sums.busy_db,
+            sums.area_front, sums.area_db, sums.measured,
+        ),
     )
-    return [
-        _overall_result(
-            horizon,
-            warmup,
-            int(sums.events[r]),
-            _segment_stats(segments, boundaries, *(field[:, r] for field in per_segment)),
-        )
-        for r in range(len(sums.events))
-    ]
 
 
 def simulate_timevarying_closed_map_network(
@@ -198,17 +199,17 @@ def simulate_timevarying_closed_map_network(
     warmup: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> TimeVaryingSimResult:
-    """Scalar jump-chain simulation of one replication over a timeline.
+    """Simulate one replication over a timeline.
 
-    Runs :func:`~repro.simulation.closed_network.simulate_segments`; the same
-    seed gives the same trajectory as the batched entry point.
+    ``default_rng(seed)`` gives the result the replication-set entry returns
+    for ``seed``.
     """
     segments = list(segments)
     horizon = _validate_timeline(segments, warmup)
     if rng is None:
         rng = np.random.default_rng()
     sums = simulate_segments(segments, horizon, warmup, rng)
-    return _timeline_results(segments, horizon, warmup, sums)[0]
+    return _timeline_result(segments, horizon, warmup, sums)
 
 
 def simulate_timevarying_closed_map_network_batch(
@@ -216,14 +217,15 @@ def simulate_timevarying_closed_map_network_batch(
     warmup: float = 0.0,
     seeds: Sequence[int] = (),
 ) -> list[TimeVaryingSimResult]:
-    """Lockstep batched simulation of ``len(seeds)`` timeline replications.
+    """Simulate ``len(seeds)`` replications over a timeline, one per seed.
 
-    Runs the batched kernel of :mod:`repro.simulation.batched` (its seed
-    policy: per-replication deterministic and batch-composition
-    independent, so cached replication sets resume bit-identically) and
-    turns its per-segment sums into :class:`TimeVaryingSimResult` objects.
+    Each seed runs the kernel on ``default_rng(seed)``, so a seed's result
+    does not depend on the other seeds of the set, and cached replication
+    sets resume bit-identically.
     """
     segments = list(segments)
     horizon = _validate_timeline(segments, warmup)
-    sums = simulate_segments_batch(segments, horizon, warmup, seeds)
-    return _timeline_results(segments, horizon, warmup, sums)
+    return [
+        _timeline_result(segments, horizon, warmup, sums)
+        for sums in simulate_replications(segments, horizon, warmup, seeds)
+    ]

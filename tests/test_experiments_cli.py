@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.cli import apply_sim_backend, build_sweep_spec, format_table, main
+from repro.experiments.cli import build_sweep_spec, format_table, main
 from repro.experiments.registry import get_scenario
 
 
@@ -73,6 +73,16 @@ class TestSweepSpec:
         assert spec.workload.think_time == 1.5
         assert spec.name == "fig9-sweep-z1.5"
 
+    def test_tier_override_sets_ctmc_option_and_renames(self):
+        base = get_scenario("fig9")
+        spec = build_sweep_spec(base, populations=(5,), think_time=1.5, tier="direct")
+        assert spec.name == "fig9-sweep-z1.5-direct"
+        for solver, original in zip(spec.solvers, base.solvers):
+            if solver.kind == "ctmc":
+                assert solver.options == {**original.options, "tier": "direct"}
+            else:
+                assert solver == original
+
     def test_keeps_base_solvers_by_default(self):
         base = get_scenario("smoke")
         spec = build_sweep_spec(base, populations=(2,))
@@ -132,48 +142,6 @@ class TestSweepCommand:
     def test_sweep_rejects_unknown_solver_kind(self):
         with pytest.raises(SystemExit):
             main(["sweep", "smoke", "--populations", "2", "--solvers", "nonsense"])
-
-
-class TestSimBackendOverride:
-    def test_apply_sets_option_and_renames(self):
-        spec = apply_sim_backend(get_scenario("fig9"), "batched")
-        assert spec.name == "fig9-batched"
-        options = [s.options for s in spec.solvers if s.kind == "simulation"]
-        assert options and all(o["sim_backend"] == "batched" for o in options)
-        # non-simulation solvers are untouched
-        assert all(
-            "sim_backend" not in s.options for s in spec.solvers if s.kind != "simulation"
-        )
-        assert spec.hash() != get_scenario("fig9").hash()
-
-    def test_apply_rejects_scenarios_without_simulation(self):
-        with pytest.raises(ValueError, match="no simulation solver"):
-            apply_sim_backend(get_scenario("smoke"), "batched")
-
-    def test_apply_overrides_an_existing_backend_option(self):
-        # fig9_ci ships with sim_backend=batched; forcing the event loop
-        # must replace, not duplicate, the option.
-        spec = apply_sim_backend(get_scenario("fig9_ci"), "event")
-        assert spec.name == "fig9_ci-event"
-        assert all(
-            s.options["sim_backend"] == "event"
-            for s in spec.solvers
-            if s.kind == "simulation"
-        )
-
-    def test_run_errors_without_simulation_solver(self, capsys):
-        assert main(["run", "smoke", "--sim-backend", "batched", "--no-cache"]) == 2
-        assert "no simulation solver" in capsys.readouterr().err
-
-    def test_sweep_with_sim_backend_runs_batched(self, capsys):
-        args = [
-            "sweep", "fig9", "--populations", "2", "--solvers", "simulation",
-            "--sim-backend", "batched", "--no-cache", "--jobs", "1",
-        ]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "fig9-sweep-batched" in out
-        assert "solver: simulation" in out
 
 
 class TestFormatTable:

@@ -94,30 +94,6 @@ class TestExportCli:
                 reference.metric("throughput"), rel=1e-12
             )
 
-    def test_export_reaches_sim_backend_overridden_runs(self, tmp_path, capsys):
-        """`run --sim-backend X` caches a renamed spec; export must find it."""
-        spec = cli.apply_sim_backend(get_scenario("fig9_ci"), "event")
-        # don't execute the (slow) scenario — a fabricated complete entry of
-        # the derived spec is enough to prove export resolves the same spec.
-        from repro.experiments.cache import ResultCache
-        from repro.experiments.results import CellResult
-
-        writer = ResultCache(tmp_path).writer(spec)
-        for cell in spec.cells():
-            writer.add(cell.key, CellResult(
-                solver=cell.solver_label, kind=cell.solver_kind,
-                params=dict(cell.params), replication=cell.replication,
-                seed=cell.seed, metrics={"throughput": 1.0},
-            ))
-        writer.finalize(0.0)
-        assert cli.main([
-            "export", "fig9_ci", "--sim-backend", "event", "--cache-dir", str(tmp_path),
-        ]) == 0
-        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-        assert len(rows) == len(spec.cells())
-        # without the flag the (different) base spec has no entry
-        assert cli.main(["export", "fig9_ci", "--cache-dir", str(tmp_path)]) == 1
-
     def test_export_to_file_and_artifacts(self, tmp_path, tiny_trace_scenario, capsys):
         spec = get_scenario(tiny_trace_scenario)
         result = run_scenario(spec, cache_dir=tmp_path / "cache")

@@ -23,6 +23,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -515,6 +516,71 @@ class TestQueueMechanics:
         state = queue._attempt_state(claim.unit.id)
         assert state["attempts"] == 1
         assert state["not_before"] > 0
+
+    def test_reaped_attempt_is_never_claimed_twice(self, tmp_path):
+        """A claim racing the reaper's charge never takes the reaped attempt.
+
+        The wrapped charge runs a second owner's claim *before* it writes
+        the count: the window in which a reaper has dropped the lease but
+        not yet recorded the failed attempt.
+        """
+        base = small_spec()
+        spec = replace(  # one cell, so one unit: the second owner can only race for it
+            base,
+            workload=replace(base.workload, populations=(1,)),
+            solvers=base.solvers[:1],
+        )
+        cache = ResultCache(tmp_path / "c")
+        submit_campaign(cache, spec, fast_policy(lease_timeout=0.1))
+        queue = FleetQueue(cache.path(spec))
+        claim, _busy = queue.claim_next("w1")
+        assert claim is not None and len(queue.units) == 1
+        attempts = []
+        charge = queue.record_attempt_failure
+
+        def racing_charge(unit_id, kind, message):
+            racer, _busy = queue.claim_next("w2")
+            if racer is not None:
+                attempts.append(racer.attempt)
+            charge(unit_id, kind, message)
+
+        queue.record_attempt_failure = racing_charge
+        time.sleep(0.3)  # let the lease expire without heartbeats
+        assert queue.reap_expired() == 1
+        del queue.record_attempt_failure
+        assert claim.attempt not in attempts
+        assert queue._attempt_state(claim.unit.id)["attempts"] == 1
+        time.sleep(0.1)  # past the retry backoff
+        racer, _busy = queue.claim_next("w2")
+        assert racer is not None
+        attempts.append(racer.attempt)
+        assert attempts == [claim.attempt + 1]
+
+    @pytest.mark.parametrize("charged", [False, True])
+    def test_orphaned_tombstone_is_charged_once(self, tmp_path, charged):
+        """A reaper that dies holding a tombstone stalls the unit for one
+        lease timeout; then its attempt is charged exactly once."""
+        base = small_spec()
+        spec = replace(
+            base, workload=replace(base.workload, populations=(1,)), solvers=base.solvers[:1]
+        )
+        cache = ResultCache(tmp_path / "c")
+        submit_campaign(cache, spec, fast_policy(lease_timeout=0.2))
+        queue = FleetQueue(cache.path(spec))
+        claim, _busy = queue.claim_next("w1")
+        unit_id = claim.unit.id
+        os.rename(queue._lease_path(unit_id), queue._tombstone_path(unit_id))
+        if charged:
+            queue.record_attempt_failure(unit_id, "timeout", "reaper died after charging")
+        assert queue.claim_next("w2") == (None, True)
+        deadline = time.time() + 5.0
+        racer = None
+        while racer is None and time.time() < deadline:
+            time.sleep(0.05)
+            racer, _busy = queue.claim_next("w2")
+        assert racer is not None and racer.attempt == claim.attempt + 1
+        assert queue._attempt_state(unit_id)["attempts"] == 1
+        assert not queue._tombstone_path(unit_id).exists()
 
     def test_campaign_attach_keeps_committed_units(self, tmp_path):
         spec = small_spec()

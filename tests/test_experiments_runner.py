@@ -177,7 +177,6 @@ class TestDeterminism:
 class TestBatchedSimulationDispatch:
     def test_cells_record_the_batched_backend(self):
         result = run_scenario(batched_spec(), jobs=1)
-        assert all(row.meta["sim_backend"] == "batched" for row in result.rows)
         assert all(row.meta["sim_batch_size"] == 3 for row in result.rows)
 
     def test_parallel_matches_serial(self):
@@ -194,24 +193,14 @@ class TestBatchedSimulationDispatch:
         for cell, row in zip(spec.cells(), grouped.rows):
             alone = execute_cell(spec, cell)
             assert alone.metrics == row.metrics
-            assert alone.meta["sim_backend"] == "batched"
 
-    def test_backends_agree_draw_for_draw(self):
-        """Both kernels read a cell's seed stream the same way: equal
-        counts, metrics within a few ulps (pairwise vs sequential sums)."""
+    def test_legacy_sim_backend_is_ignored(self):
+        """Specs written for the removed backend choice still load and run:
+        the ``sim_backend`` option is an unknown option, so every value gives
+        the same rows, bit for bit."""
         batched = run_scenario(batched_spec(), jobs=1)
         event = run_scenario(batched_spec(backend="event"), jobs=1)
-        assert all(row.meta["sim_backend"] == "event" for row in event.rows)
-        assert len(batched.rows) == len(event.rows)
-        for batched_row, event_row in zip(batched.rows, event.rows):
-            assert (batched_row.params, batched_row.seed) == (event_row.params, event_row.seed)
-            assert batched_row.metrics.keys() == event_row.metrics.keys()
-            for key, value in batched_row.metrics.items():
-                assert event_row.metrics[key] == pytest.approx(value, rel=1e-12), key
-
-    def test_single_replication_falls_back_to_the_event_loop(self):
-        result = run_scenario(batched_spec(replications=1), jobs=1)
-        assert result.rows[0].meta["sim_backend"] == "event"
+        assert rows_signature(event) == rows_signature(batched)
 
     def test_resume_rebatches_bit_identically(self, tmp_path):
         """The remainder of a killed run re-batches to the original values."""

@@ -1,19 +1,20 @@
-"""Cross-validation and seed-policy regressions of the batched simulator.
+"""Cross-validation and seed-policy regressions of the replication-set
+entries of the closed-network simulator.
 
-The batched kernel (:mod:`repro.simulation.batched`) claims to simulate the
-same CTMC as the scalar event loop.  This suite asserts that claim three
-ways on qualitatively different MAP pairs (Poisson, high-variability
-renewal, strongly autocorrelated):
+The replication-set entries (:mod:`repro.simulation.batched`,
+:func:`~repro.simulation.timevarying.simulate_timevarying_closed_map_network_batch`)
+run the one simulation kernel once per seed.  This suite checks them on
+qualitatively different MAP pairs (Poisson, high-variability renewal,
+strongly autocorrelated) and on random networks and timelines:
 
-* **statistically** — batched and scalar replication means agree with the
-  exact CTMC solution within CLT confidence bounds (the batched mean within
-  a few standard errors of its own replication spread),
+* **statistically** — replication means agree with the exact CTMC solution
+  within CLT confidence bounds,
 * **deterministically** — fixed seeds give bit-identical results across
-  runs (pinned trajectory), and a replication's result is independent of
-  which other replications share the batch (the property the runner's
-  resume-from-partial depends on),
-* **structurally** — the general CDF-table destination path and the
-  branch-free order-<=2 path resolve every jump to the same outcome.
+  runs (pinned trajectories), and each seed's result ``==`` the per-seed
+  entry's on ``default_rng(seed)``, whatever other seeds share the set (the
+  property the runner's resume-from-partial depends on),
+* **structurally** — the jump CDF table resolves each outcome with exactly
+  the MAP's jump probability.
 """
 
 from __future__ import annotations
@@ -22,8 +23,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.maps import (
+    MAP,
     map2_exponential,
     map2_from_moments_and_decay,
     map2_hyperexponential_renewal,
@@ -31,13 +35,16 @@ from repro.maps import (
 from repro.experiments.packs import load_pack
 from repro.experiments.registry import get_scenario
 from repro.queueing import solve_map_closed_network
+from repro.queueing.transient import NetworkSegment
 from repro.simulation import (
+    BATCH_RNG_CHUNK,
     ClosedNetworkSimResult,
     simulate_closed_map_network,
     simulate_closed_map_network_batch,
+    simulate_timevarying_closed_map_network,
     simulate_timevarying_closed_map_network_batch,
 )
-from repro.simulation.batched import _destination_scalars, _destination_table
+from repro.simulation.closed_network import _destination_table, _jump_probabilities
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -97,26 +104,6 @@ class TestStatisticalCrossValidation:
                 f"exact {getattr(exact, metric):.5f}"
             )
 
-    def test_batched_matches_scalar_kernel(self, pair_name):
-        """The two kernels' replication means agree within joint CLT bounds."""
-        front, db = MAP_PAIRS[pair_name]
-        seeds = [900 + index for index in range(REPLICATIONS)]
-        batched = batch(front, db, seeds)
-        scalar = [
-            simulate_closed_map_network(
-                front, db, THINK_TIME, POPULATION, horizon=HORIZON, warmup=WARMUP,
-                rng=np.random.default_rng(seed),
-            )
-            for seed in seeds
-        ]
-        for metric in METRICS:
-            batched_mean, batched_err = replication_mean_and_stderr(batched, metric)
-            scalar_mean, scalar_err = replication_mean_and_stderr(scalar, metric)
-            tolerance = 5.0 * float(np.hypot(batched_err, scalar_err)) + 1e-3
-            assert batched_mean == pytest.approx(scalar_mean, abs=tolerance), (
-                f"{pair_name}.{metric}"
-            )
-
 
 class TestSeedPolicy:
     FRONT = map2_exponential(0.02)
@@ -130,6 +117,29 @@ class TestSeedPolicy:
             seeds=seeds,
             **kwargs,
         )
+
+    @pytest.mark.parametrize("pair_name", sorted(MAP_PAIRS))
+    def test_batch_equals_per_seed_runs(self, pair_name):
+        """Each seed of a long set gives the per-seed entry's result, bit for bit."""
+        front, db = MAP_PAIRS[pair_name]
+        seeds = [900 + index for index in range(REPLICATIONS)]
+        per_seed = [
+            simulate_closed_map_network(
+                front, db, THINK_TIME, POPULATION, horizon=HORIZON, warmup=WARMUP,
+                rng=np.random.default_rng(seed),
+            )
+            for seed in seeds
+        ]
+        assert batch(front, db, seeds) == per_seed
+
+    def test_backends_agree_for_same_seed(self):
+        """The per-seed entry on ``default_rng(seed)`` and the set entry read
+        the seed's stream the same way: same seed, same result, bit for bit."""
+        single = simulate_closed_map_network(
+            self.FRONT, self.DB, 0.5, 20, horizon=200.0, warmup=20.0,
+            rng=np.random.default_rng(11),
+        )
+        assert self.run([11]) == [single]
 
     def test_fixed_seeds_bit_identical_across_runs(self):
         assert self.run([3, 4, 5]) == self.run([3, 4, 5])
@@ -152,10 +162,10 @@ class TestSeedPolicy:
     def test_pinned_trajectory(self):
         """Pin one seeded batch bit for bit; fails on any ulp drift.
 
-        The floats are a property of (PCG64, ``BATCH_RNG_CHUNK``,
-        ``BATCH_WINDOW``, the initial-phase draws, the per-step E/U/V
-        consumption order and the pairwise fold).  Update them only for a
-        deliberate, documented seed-policy change.
+        The floats are a property of (PCG64, ``BATCH_RNG_CHUNK``, the
+        initial-phase draws, the per-step E/U/V consumption order and the
+        time-ordered sums).  Update them only for a deliberate, documented
+        seed-policy change.
         """
         result = self.run([11, 12, 13, 14])
         assert [r.completed for r in result] == [5792, 5622, 5461, 5707]
@@ -166,8 +176,8 @@ class TestSeedPolicy:
                 throughput=32.17777777777778,
                 front_utilization=0.642184603795076,
                 db_utilization=0.43217917815073853,
-                front_queue_length=1.7185355220772156,
-                db_queue_length=2.2172262097956303,
+                front_queue_length=1.718535522077216,
+                db_queue_length=2.2172262097956312,
                 completed=5792, warmup=20.0, measured_time=180.0, events=19122,
             ),
             ClosedNetworkSimResult(
@@ -176,7 +186,7 @@ class TestSeedPolicy:
                 front_utilization=0.6206235866050244,
                 db_utilization=0.4702394496323113,
                 front_queue_length=1.6619717543318353,
-                db_queue_length=2.7946304843193785,
+                db_queue_length=2.7946304843193825,
                 completed=5622, warmup=20.0, measured_time=180.0, events=18311,
             ),
         ]
@@ -198,12 +208,12 @@ class TestSeedPolicy:
         # (the deadlock path of the kernel)
         "server_outage": (
             lambda: load_pack(REPO_ROOT / "scenarios" / "server_outage.json"),
-            (1717, 5157, 9.53888888888889, 0.5720326594546205, 0.8244958103269289),
+            (1717, 5157, 9.53888888888889, 0.5720326594546205, 0.8244958103269286),
             [
                 ("healthy", 514, 11.422222222222222, 0.8669917565192896, 45.0),
                 ("healthy/down:db", 0, 0.0, 7.697818436611999, 15.0),
                 ("drain/down:db", 0, 0.0, 8.0, 15.0),
-                ("drain", 1203, 11.457142857142857, 1.4725036153972688, 105.0),
+                ("drain", 1203, 11.457142857142857, 1.472503615397269, 105.0),
             ],
         ),
     }
@@ -234,48 +244,179 @@ class TestSeedPolicy:
         assert BATCH_RNG_CHUNK == 4096
 
     @pytest.mark.parametrize("pair_name", sorted(MAP_PAIRS))
-    def test_destination_paths_identical(self, pair_name):
-        """Table and branch-free destination sampling are outcome-identical.
+    def test_destination_table_widths(self, pair_name):
+        """Each outcome's uniform interval is as wide as its jump probability.
 
-        The kernel picks the branch-free scalars for MAP orders <= 2 and the
-        CDF table otherwise; for every phase and every destination uniform
-        on a fine grid (plus the exact thresholds) both resolve the jump to
-        the same (marked, destination) outcome.
+        A destination uniform ``v`` resolves to ``bisect_right(row, v)``, so
+        outcome ``j`` owns ``[row[j-1], row[j])``.  Hidden outcomes encode
+        ``D0``'s off-diagonal jumps, marked outcomes ``D1``'s, each into the
+        owning server's phase range; the last real outcome is open-ended.
         """
         front, db = MAP_PAIRS[pair_name]
         table = _destination_table(front, db)
-        hid_prob, mark_thresh, mark_base, hid_dest = _destination_scalars(front, db)
         KG = table.shape[0]
-        grid = np.concatenate([
-            np.linspace(0.0, 1.0, 20001),
-            np.nextafter(1.0, 0.0),
-            hid_prob, np.nextafter(hid_prob, 0.0),
-            mark_thresh, np.nextafter(mark_thresh, 0.0),
-        ], axis=None)
-        grid = grid[grid < 1.0]
-        for phase in range(KG):
-            jump = (table[phase][None, :] <= grid[:, None]).sum(axis=1)
-            table_marked = jump >= KG
-            table_dest = jump - KG * table_marked
-            hidden = grid < hid_prob[phase]
-            scalar_dest = np.where(
-                hidden, hid_dest[phase], mark_base[phase] + (grid >= mark_thresh[phase])
-            )
-            np.testing.assert_array_equal(table_marked, ~hidden)
-            np.testing.assert_array_equal(table_dest, scalar_dest)
+        for map_process, offset in ((front, 0), (db, front.order)):
+            hidden_p, marked_p = _jump_probabilities(map_process)
+            order = map_process.order
+            for phase in range(order):
+                expected = np.zeros(2 * KG)
+                expected[offset:offset + order] = hidden_p[phase]
+                expected[KG + offset:KG + offset + order] = marked_p[phase]
+                row = np.minimum(table[offset + phase], 1.0)
+                widths = np.diff(row, prepend=0.0)
+                np.testing.assert_allclose(widths, expected, rtol=0, atol=1e-12)
 
-    def test_backends_agree_for_same_seed(self):
-        """Batched and scalar kernels read a seed's stream the same way —
-        same seed, same trajectory: equal counts, floats within a few ulps
-        (the batched kernel sums pairwise, the scalar one sequentially)."""
-        scalar = simulate_closed_map_network(
-            self.FRONT, self.DB, 0.5, 20, horizon=200.0, warmup=20.0,
-            rng=np.random.default_rng(11),
+
+#: Strategies of the replication-set property tests.
+orders = st.integers(min_value=1, max_value=3)
+seed_sets = st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=1, max_size=3)
+populations = st.integers(min_value=1, max_value=40)
+think_times = st.floats(min_value=0.05, max_value=2.0)
+#: mostly up: an outage in every other segment would deadlock most runs early
+station_up = st.sampled_from([True, True, True, False])
+warmup_fractions = st.floats(min_value=0.0, max_value=0.99)
+
+
+@st.composite
+def service_maps(draw, order: int) -> MAP:
+    """A random irreducible MAP of ``order`` phases, mean rate order 1-100."""
+    scale = draw(st.floats(min_value=0.2, max_value=2.0))
+    rate = st.floats(min_value=0.0, max_value=4.0)
+    hidden = np.array(draw(st.lists(rate, min_size=order * order, max_size=order * order)))
+    marked = np.array(
+        draw(st.lists(st.floats(min_value=0.1, max_value=4.0),
+                      min_size=order * order, max_size=order * order))
+    )
+    D0 = hidden.reshape(order, order) / scale
+    D1 = marked.reshape(order, order) / scale
+    np.fill_diagonal(D0, 0.0)
+    np.fill_diagonal(D0, -(D0.sum(axis=1) + D1.sum(axis=1)))
+    return MAP(D0, D1)
+
+
+@st.composite
+def timelines(draw) -> list[NetworkSegment]:
+    """1-4 segments: regime switches, population changes, outages."""
+    front_order, db_order = draw(orders), draw(orders)
+    front, db = draw(service_maps(front_order)), draw(service_maps(db_order))
+    segments = []
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            front = draw(service_maps(front_order))
+        if draw(st.booleans()):
+            db = draw(service_maps(db_order))
+        segments.append(NetworkSegment(
+            duration=draw(st.floats(min_value=0.5, max_value=20.0)),
+            front=front,
+            db=db,
+            think_time=draw(think_times),
+            population=draw(populations),
+            label=f"s{index}",
+            front_up=draw(station_up),
+            db_up=draw(station_up),
+        ))
+    return segments
+
+
+def random_map(rng: np.random.Generator, order: int, scale: float) -> MAP:
+    """A random irreducible MAP of ``order`` phases (fixed-example helper)."""
+    D0 = rng.uniform(0.0, 4.0, (order, order)) / scale
+    D1 = rng.uniform(0.1, 4.0, (order, order)) / scale
+    np.fill_diagonal(D0, 0.0)
+    np.fill_diagonal(D0, -(D0.sum(axis=1) + D1.sum(axis=1)))
+    return MAP(D0, D1)
+
+
+def assert_timeline_set_equals_per_seed(segments, warmup, seeds):
+    """The timeline set entry gives, per seed, the per-seed entry's result."""
+    per_seed = [
+        simulate_timevarying_closed_map_network(
+            segments, warmup=warmup, rng=np.random.default_rng(seed)
         )
-        (batched,) = self.run([11])
-        assert (scalar.completed, scalar.events) == (batched.completed, batched.events)
-        for metric in METRICS + ("front_queue_length", "measured_time"):
-            assert getattr(scalar, metric) == pytest.approx(getattr(batched, metric), rel=1e-12)
+        for seed in seeds
+    ]
+    results = simulate_timevarying_closed_map_network_batch(
+        segments, warmup=warmup, seeds=seeds
+    )
+    assert results == per_seed
+    return results
+
+
+class TestReplicationSets:
+    """Both replication-set entries equal the per-seed entries, seed by seed.
+
+    Random networks draw MAP orders 1 to 3, populations 1 to 40 and warmups
+    anywhere below the horizon; random timelines add population drops,
+    regime switches and outages.  Drawn examples tend to be short runs; the
+    fixed long runs cross several ``BATCH_RNG_CHUNK`` refills for every mix
+    of MAP orders.
+    """
+
+    @given(
+        front_order=orders, db_order=orders, data=st.data(), think_time=think_times,
+        population=populations, horizon=st.floats(min_value=1.0, max_value=40.0),
+        warmup_fraction=warmup_fractions, seeds=seed_sets,
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_static_network(
+        self, front_order, db_order, data, think_time, population, horizon,
+        warmup_fraction, seeds,
+    ):
+        front = data.draw(service_maps(front_order))
+        db = data.draw(service_maps(db_order))
+        warmup = warmup_fraction * horizon
+        per_seed = [
+            simulate_closed_map_network(
+                front, db, think_time, population, horizon=horizon, warmup=warmup,
+                rng=np.random.default_rng(seed),
+            )
+            for seed in seeds
+        ]
+        assert simulate_closed_map_network_batch(
+            front, db, think_time, population, horizon=horizon, warmup=warmup,
+            seeds=seeds,
+        ) == per_seed
+
+    @given(segments=timelines(), warmup_fraction=warmup_fractions, seeds=seed_sets)
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_timeline(self, segments, warmup_fraction, seeds):
+        horizon = sum(segment.duration for segment in segments)
+        assert_timeline_set_equals_per_seed(segments, warmup_fraction * horizon, seeds)
+
+    @pytest.mark.parametrize("front_order,db_order", [(1, 3), (2, 2), (3, 2), (3, 3)])
+    def test_long_timeline_crosses_refills(self, front_order, db_order):
+        """Regime switches and a population drop over many refills."""
+        rng = np.random.default_rng(10 * front_order + db_order)
+        segments = []
+        for index, (duration, population) in enumerate([(30.0, 30), (30.0, 12), (30.0, 25)]):
+            segments.append(NetworkSegment(
+                duration,
+                random_map(rng, front_order, 0.05),
+                random_map(rng, db_order, 0.06),
+                0.2,
+                population,
+                label=f"regime{index}",
+            ))
+        seed = front_order + db_order
+        (result,) = assert_timeline_set_equals_per_seed(segments, 10.0, [seed])
+        assert result.events > 3 * BATCH_RNG_CHUNK
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_deadlock_up_to_the_horizon(self, seed):
+        """The database goes down for good: every job ends up queued at it,
+        the front is empty, and the run is deadlocked up to the horizon."""
+        front = map2_exponential(0.05)
+        db = map2_from_moments_and_decay(0.04, 4.0, 0.9)
+        segments = [
+            NetworkSegment(5.0, front, db, 0.5, 8, label="healthy"),
+            NetworkSegment(3.0, front, db, 0.5, 4, label="drop/down:db", db_up=False),
+            NetworkSegment(4.0, front, db, 0.5, 6, label="recover"),
+            NetworkSegment(60.0, front, db, 0.5, 6, label="down:db", db_up=False),
+        ]
+        (result,) = assert_timeline_set_equals_per_seed(segments, 1.0, [seed])
+        final = result.segments[-1]
+        assert final.completed == 0
+        assert final.db_queue_length == pytest.approx(6.0, rel=0.05)
 
 
 class TestValidation:

@@ -1,18 +1,17 @@
-"""Regression tests for the scalar simulation kernel's seed policy.
+"""Regression tests for the simulation kernel's seed policy.
 
-The scalar kernel reads its generator under the seed policy of
-:mod:`repro.simulation.batched`: two initial-phase uniforms, then refills of
-``BATCH_RNG_CHUNK`` exponentials, event uniforms and destination uniforms,
-one of each per step.  These tests pin that policy: a fixed seed must give
-bit-identical results across runs, and seeded runs must reproduce the
-batched kernel's pinned trajectory, so any accidental change to the draw
-order is caught immediately.
+The kernel reads its generator under the seed policy of
+:mod:`repro.simulation.closed_network`: two initial-phase uniforms, then
+refills of ``BATCH_RNG_CHUNK`` exponentials, event uniforms and destination
+uniforms, one of each per step.  These tests pin that policy: a fixed seed
+must give bit-identical results across runs, and seeded runs of the per-seed
+entry must reproduce the replication-set entry's pinned trajectory, so any
+accidental change to the draw order is caught immediately.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.maps.map2 import map2_exponential, map2_from_moments_and_decay
 from repro.simulation.closed_network import simulate_closed_map_network
@@ -35,13 +34,12 @@ class TestSeedPolicy:
         assert run(7) != run(8)
 
     def test_pinned_trajectory(self):
-        """Seeds 11-14 reproduce the batched kernel's pinned trajectory.
+        """Seeds 11-14 reproduce the replication-set entry's pinned trajectory.
 
         The values below are pinned by
         ``test_simulation_batched.py::TestSeedPolicy::test_pinned_trajectory``
-        on the same network.  The scalar kernel reads the same draws, so the
-        integer counts are equal; it sums sequentially rather than pairwise,
-        so the floats agree to within a few ulps.
+        on the same network; both entries run the one kernel on
+        ``default_rng(seed)``, so they agree bit for bit.
         """
         completed = [5792, 5622, 5461, 5707]
         events = [19122, 18311, 18312, 18898]
@@ -50,13 +48,13 @@ class TestSeedPolicy:
         assert [r.events for r in results] == events
         pinned = [
             (32.17777777777778, 0.642184603795076, 0.43217917815073853,
-             1.7185355220772156, 2.2172262097956303),
+             1.718535522077216, 2.2172262097956312),
             (31.233333333333334, 0.6206235866050244, 0.4702394496323113,
-             1.6619717543318353, 2.7946304843193785),
+             1.6619717543318353, 2.7946304843193825),
         ]
         for result, floats in zip(results, pinned):
-            assert result.measured_time == pytest.approx(180.0, rel=1e-12)
+            assert result.measured_time == 180.0
             assert (
                 result.throughput, result.front_utilization, result.db_utilization,
                 result.front_queue_length, result.db_queue_length,
-            ) == pytest.approx(floats, rel=1e-12)
+            ) == floats
