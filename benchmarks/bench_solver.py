@@ -6,7 +6,10 @@ Tracks the performance trajectory of the repository's hottest paths:
   per-state builder at N=100 with MAP(2) service at both stations,
 * ``exact_solve`` — full ``MapClosedNetworkSolver.solve`` wall time at a
   ladder of populations.  Every point runs in a *fresh subprocess* so its
-  peak RSS is an honest per-population measurement; each row records the
+  peak RSS is an honest per-population measurement, and is timed as the
+  median of ``SOLVE_REPEATS`` such subprocesses: the first interpreter after
+  a checkout pays a one-time cost that a single sample would charge to the
+  solver; each row records the
   solver tier that produced it and, next to the measured footprint, the
   bytes the materialized tier would have allocated for the same system
   (CSR + balance CSC + ILU fill).  The full grid reaches N=1000 and N=1500
@@ -85,6 +88,9 @@ FULL_SIM_LOOP = ["R16", "R64", "R256", "R1024"]
 #: ``--quick`` gate.
 GATE_THRESHOLD = 0.25
 
+#: Fresh subprocesses per ``exact_solve`` point; the row is the median run.
+SOLVE_REPEATS = 3
+
 
 def _median_time(callable_, repeats: int) -> float:
     timings = []
@@ -150,22 +156,30 @@ print(json.dumps({
 """
 
 
+def _solve_in_subprocess(population: int) -> dict:
+    completed = subprocess.run(
+        [sys.executable, "-c", _SOLVE_SNIPPET, str(population)],
+        capture_output=True,
+        text=True,
+        env=os.environ.copy(),
+    )
+    if completed.returncode != 0:
+        raise RuntimeError(
+            f"exact-solve subprocess for N={population} failed "
+            f"(exit {completed.returncode}):\n{completed.stderr}"
+        )
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
 def bench_exact_solve(populations: list[int]) -> list[dict]:
-    """Full solve wall time per population, one fresh subprocess each."""
+    """Full solve wall time per population: the median of fresh subprocesses."""
     rows = []
     for population in populations:
-        completed = subprocess.run(
-            [sys.executable, "-c", _SOLVE_SNIPPET, str(population)],
-            capture_output=True,
-            text=True,
-            env=os.environ.copy(),
+        runs = sorted(
+            (_solve_in_subprocess(population) for _ in range(SOLVE_REPEATS)),
+            key=lambda run: run["seconds"],
         )
-        if completed.returncode != 0:
-            raise RuntimeError(
-                f"exact-solve subprocess for N={population} failed "
-                f"(exit {completed.returncode}):\n{completed.stderr}"
-            )
-        rows.append(json.loads(completed.stdout.splitlines()[-1]))
+        rows.append(runs[len(runs) // 2])
     return rows
 
 

@@ -19,8 +19,9 @@ The package is organised around the paper's methodology:
   the exact CTMC solution of the closed MAP queueing network (the model).
 * :mod:`repro.simulation` — discrete-event simulators (trace-driven FCFS
   queue, closed MAP network) used for validation.
-* :mod:`repro.monitoring` — windowed collectors, busy-period extraction and
-  utilisation-regression demand estimation (the `sar` / Diagnostics analogue).
+* :mod:`repro.monitoring` — windowed collectors (the `sar` / Diagnostics
+  analogue); the MVA baseline takes its demands from them by the
+  utilisation law.
 * :mod:`repro.tpcw` — a simulated three-tier TPC-W testbed with
   contention-induced burstiness and bottleneck switch.
 """
@@ -32,7 +33,6 @@ from repro.core import (
     build_server_model,
     build_multitier_model,
     estimate_index_of_dispersion,
-    estimate_p95_service_time,
     fit_map2_from_measurements,
 )
 from repro.maps import MAP, PHDistribution
@@ -48,7 +48,6 @@ __all__ = [
     "build_server_model",
     "build_multitier_model",
     "estimate_index_of_dispersion",
-    "estimate_p95_service_time",
     "fit_map2_from_measurements",
     "MAP",
     "PHDistribution",

@@ -15,12 +15,8 @@ multi-tier system into a capacity-planning model that captures burstiness:
    time / utilisation as a function of the number of emulated browsers.
 """
 
-from repro.core.dispersion import (
-    DispersionEstimate,
-    estimate_index_of_dispersion,
-    dispersion_profile,
-)
-from repro.core.percentiles import estimate_p95_service_time, estimate_service_percentile
+from repro.core.dispersion import DispersionEstimate, estimate_index_of_dispersion
+from repro.core.percentiles import estimate_service_percentile
 from repro.core.map_fitting import (
     FittedServiceProcess,
     MapFitError,
@@ -37,8 +33,6 @@ from repro.core.model_builder import (
 __all__ = [
     "DispersionEstimate",
     "estimate_index_of_dispersion",
-    "dispersion_profile",
-    "estimate_p95_service_time",
     "estimate_service_percentile",
     "FittedServiceProcess",
     "MapFitError",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["DispersionEstimate", "estimate_index_of_dispersion", "dispersion_profile"]
+__all__ = ["DispersionEstimate", "estimate_index_of_dispersion"]
 
 
 class InsufficientDataError(ValueError):
@@ -187,25 +187,3 @@ def estimate_index_of_dispersion(
         profile=tuple(profile),
         mean_busy_rate=mean_busy_rate,
     )
-
-
-def dispersion_profile(
-    utilizations, completions, period: float, windows
-) -> np.ndarray:
-    """Return ``Y(t)`` for explicitly requested aggregation windows.
-
-    This is a diagnostic companion to :func:`estimate_index_of_dispersion`:
-    it evaluates the variance-to-mean ratio of completion counts for each
-    busy-time window in ``windows`` without any convergence logic.
-    """
-    utilizations, completions = _validate_inputs(utilizations, completions, period)
-    busy_times = utilizations * period
-    values = []
-    for window in np.asarray(windows, dtype=float):
-        counts = _window_counts(busy_times, completions, float(window))
-        if counts.size < 2:
-            values.append(np.nan)
-            continue
-        mean_count = counts.mean()
-        values.append(float(counts.var() / mean_count) if mean_count > 0 else 0.0)
-    return np.asarray(values)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["estimate_service_percentile", "estimate_p95_service_time"]
+__all__ = ["estimate_service_percentile"]
 
 
 def estimate_service_percentile(
@@ -64,12 +64,3 @@ def estimate_service_percentile(
     if median_count <= 0:
         raise ValueError("median completion count is zero")
     return busy_quantile / median_count
-
-
-def estimate_p95_service_time(
-    utilizations, completions, period: float, busy_threshold: float = 0.0
-) -> float:
-    """Shorthand for the 95th percentile used throughout the paper."""
-    return estimate_service_percentile(
-        utilizations, completions, period, quantile=0.95, busy_threshold=busy_threshold
-    )

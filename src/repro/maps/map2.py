@@ -6,7 +6,7 @@ dispersion ``I`` and the 95th percentile of the service times.  The fitting
 procedure itself lives in :mod:`repro.core.map_fitting`; this module provides
 the underlying parametric families:
 
-* renewal MAP(2)s obtained from a phase-type distribution (no correlation),
+* the renewal MAP(2) with a hyper-exponential marginal (no correlation),
 * the *correlated hyper-exponential* family used as the candidate set of the
   fitting procedure: exponential service in one of two states (a "fast" and a
   "slow" state) with a sticky embedded phase chain, which yields geometrically
@@ -19,11 +19,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.maps.map_process import MAP
-from repro.maps.ph import PHDistribution, hyperexp_rates_from_moments
+from repro.maps.ph import hyperexp_rates_from_moments
 
 __all__ = [
     "map2_exponential",
-    "map2_from_ph_renewal",
     "map2_hyperexponential_renewal",
     "map2_correlated_hyperexp",
     "map2_from_moments_and_decay",
@@ -36,19 +35,6 @@ def map2_exponential(mean: float) -> MAP:
         raise ValueError("mean must be positive")
     rate = 1.0 / mean
     return MAP(np.array([[-rate]]), np.array([[rate]]))
-
-
-def map2_from_ph_renewal(ph: PHDistribution) -> MAP:
-    """Renewal MAP whose inter-event times follow the given PH distribution.
-
-    ``D0 = T`` and ``D1 = t * alpha`` where ``t`` is the exit-rate vector, so
-    successive inter-event times are independent and the index of dispersion
-    equals the SCV of the distribution.
-    """
-    exit_rates = ph.exit_rates
-    D0 = ph.T
-    D1 = np.outer(exit_rates, ph.alpha)
-    return MAP(D0, D1)
 
 
 def map2_hyperexponential_renewal(

@@ -24,8 +24,6 @@ from scipy.optimize import brentq
 
 __all__ = [
     "PHDistribution",
-    "exponential_ph",
-    "erlang_ph",
     "hyperexponential_ph",
     "hyperexp_rates_from_moments",
 ]
@@ -58,7 +56,7 @@ class PHDistribution:
 
     Examples
     --------
-    >>> ph = exponential_ph(rate=2.0)
+    >>> ph = PHDistribution(np.array([1.0]), np.array([[-2.0]]))
     >>> round(ph.mean(), 6)
     0.5
     >>> ph = hyperexponential_ph(mean=1.0, scv=3.0)
@@ -232,29 +230,6 @@ def _factorial(k: int) -> int:
 # ----------------------------------------------------------------------
 # Constructors
 # ----------------------------------------------------------------------
-def exponential_ph(rate: float) -> PHDistribution:
-    """Exponential distribution with the given rate as a PH of order 1."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return PHDistribution(np.array([1.0]), np.array([[-rate]]))
-
-
-def erlang_ph(order: int, rate: float) -> PHDistribution:
-    """Erlang distribution with ``order`` stages, each with the given rate."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    T = np.zeros((order, order))
-    for i in range(order):
-        T[i, i] = -rate
-        if i + 1 < order:
-            T[i, i + 1] = rate
-    alpha = np.zeros(order)
-    alpha[0] = 1.0
-    return PHDistribution(alpha, T)
-
-
 def hyperexp_rates_from_moments(
     mean: float, scv: float, p1: float | None = None
 ) -> tuple[float, float, float]:

@@ -1,15 +1,10 @@
 """Exact sampling of event traces from a MAP.
 
-Two sampling primitives are provided:
-
-* :func:`sample_interarrival_times` — draws a sequence of inter-event times
-  from the stationary version of the MAP.  This is the function used to
-  generate synthetic service-time traces whose burstiness matches a fitted
-  MAP(2) and to cross-validate the analytical descriptors (moments, SCV,
-  autocorrelations, index of dispersion) against empirical estimates.
-* :func:`sample_marked_ctmc` — low-level simulation of the marked Markov
-  chain returning both event times and the phase path, useful for tests that
-  verify the phase process itself.
+:func:`sample_interarrival_times` draws a sequence of inter-event times from
+the stationary version of the MAP.  It generates synthetic service-time
+traces whose burstiness matches a fitted MAP(2) and cross-validates the
+analytical descriptors (moments, SCV, autocorrelations, index of dispersion)
+against empirical estimates.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ import numpy as np
 
 from repro.maps.map_process import MAP
 
-__all__ = ["sample_interarrival_times", "sample_marked_ctmc"]
+__all__ = ["sample_interarrival_times"]
 
 
 def _jump_tables(map_process: MAP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -81,44 +76,3 @@ def sample_interarrival_times(
             phase = next_phase
         samples[n] = elapsed
     return samples
-
-
-def sample_marked_ctmc(
-    map_process: MAP,
-    horizon: float,
-    rng: np.random.Generator | None = None,
-    initial_phase: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the marked chain over ``[0, horizon]``.
-
-    Returns
-    -------
-    event_times:
-        Absolute times of marked transitions (events) within the horizon.
-    phase_path:
-        Phase occupied immediately after each marked transition.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    if rng is None:
-        rng = np.random.default_rng()
-    order = map_process.order
-    total_rates, prob_rows, marked = _jump_tables(map_process)
-    if initial_phase is None:
-        phase = int(rng.choice(order, p=map_process.theta))
-    else:
-        phase = int(initial_phase)
-    clock = 0.0
-    event_times: list[float] = []
-    phases: list[int] = []
-    while True:
-        clock += rng.exponential(1.0 / total_rates[phase])
-        if clock > horizon:
-            break
-        jump = int(rng.choice(2 * order, p=prob_rows[phase]))
-        next_phase = jump % order
-        if marked[jump]:
-            event_times.append(clock)
-            phases.append(next_phase)
-        phase = next_phase
-    return np.asarray(event_times), np.asarray(phases, dtype=int)

@@ -8,26 +8,19 @@ that commodity monitoring tools emit.  This subpackage provides:
   counts and for time-weighted signals (busy time, queue length),
 * :mod:`~repro.monitoring.collector` — per-server monitors that turn raw
   simulation events into utilisation / completion-count / queue-length series
-  at a configurable granularity,
-* :mod:`~repro.monitoring.busy_periods` — extraction of busy periods from
-  utilisation series,
-* :mod:`~repro.monitoring.regression` — utilisation-regression estimation of
-  per-class mean service demands (the standard parameterisation of the MVA
-  baseline).
+  at a configurable granularity.
+
+The MVA baseline takes each server's mean service demand from these series
+by the utilisation law (busy time over completions, see
+:attr:`repro.core.model_builder.ServerMeasurement.mean_service_time`).
 """
 
 from repro.monitoring.windows import CountWindows, TimeWeightedWindows
 from repro.monitoring.collector import ServerMonitor, MonitoringSeries
-from repro.monitoring.busy_periods import busy_periods_from_utilization, BusyPeriod
-from repro.monitoring.regression import estimate_service_demands, RegressionResult
 
 __all__ = [
     "CountWindows",
     "TimeWeightedWindows",
     "ServerMonitor",
     "MonitoringSeries",
-    "busy_periods_from_utilization",
-    "BusyPeriod",
-    "estimate_service_demands",
-    "RegressionResult",
 ]

@@ -21,8 +21,6 @@
 * :mod:`~repro.queueing.transient` — time-varying solution layers on top of
   the exact solver: piecewise-stationary sweeps with cross-segment warm
   starts, and true transients by uniformization on the materialized tier.
-* :mod:`~repro.queueing.mg1` — classical single-station references
-  (M/M/1, M/G/1, heavy-traffic G/G/1 with an index of dispersion).
 * :mod:`~repro.queueing.bounds` — asymptotic bounds for closed networks.
 """
 
@@ -60,11 +58,6 @@ from repro.queueing.transient import (
     solve_piecewise_transient,
     uniformized_transient,
 )
-from repro.queueing.mg1 import (
-    mm1_metrics,
-    mg1_mean_response_time,
-    heavy_traffic_mean_waiting_time,
-)
 from repro.queueing.bounds import (
     ThroughputBounds,
     asymptotic_throughput_bounds,
@@ -97,9 +90,6 @@ __all__ = [
     "solve_piecewise_stationary",
     "solve_piecewise_transient",
     "uniformized_transient",
-    "mm1_metrics",
-    "mg1_mean_response_time",
-    "heavy_traffic_mean_waiting_time",
     "ThroughputBounds",
     "asymptotic_throughput_bounds",
     "balanced_job_bounds",

@@ -16,7 +16,7 @@
   MAPs, outages), with per-segment statistics,
 * :mod:`~repro.simulation.batched` — the replication-set entry of a static
   network: the kernel once per seed,
-* :mod:`~repro.simulation.random_streams` — seeded random-stream management.
+* :mod:`~repro.simulation.random_streams` — named seed derivation.
 """
 
 from repro.simulation.events import EventQueue
@@ -34,7 +34,7 @@ from repro.simulation.timevarying import (
     simulate_timevarying_closed_map_network,
     simulate_timevarying_closed_map_network_batch,
 )
-from repro.simulation.random_streams import RandomStreams, derive_seed, named_seed_sequence
+from repro.simulation.random_streams import derive_seed, named_seed_sequence
 
 __all__ = [
     "EventQueue",
@@ -49,7 +49,6 @@ __all__ = [
     "TimeVaryingSimResult",
     "simulate_timevarying_closed_map_network",
     "simulate_timevarying_closed_map_network_batch",
-    "RandomStreams",
     "derive_seed",
     "named_seed_sequence",
 ]

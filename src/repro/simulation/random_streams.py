@@ -1,17 +1,17 @@
-"""Seeded random-stream management for reproducible simulations.
+"""Named seed derivation for reproducible simulations.
 
-Each logical source of randomness in a simulation (think times, per-type
-service demands, contention process, ...) gets its own independent
-:class:`numpy.random.Generator` spawned from a single seed, so that changing
-how one source is consumed never perturbs the others — an essential property
-for controlled experiments and variance-reduction across configurations.
+Each logical source of randomness (a grid cell, a replication, ...) gets its
+own independent seed derived from one root seed and the source's name, so
+that changing how one source is consumed never perturbs the others — an
+essential property for controlled experiments and variance reduction across
+configurations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RandomStreams", "derive_seed", "named_seed_sequence"]
+__all__ = ["derive_seed", "named_seed_sequence"]
 
 
 def named_seed_sequence(seed: int, name: str) -> np.random.SeedSequence:
@@ -32,25 +32,3 @@ def named_seed_sequence(seed: int, name: str) -> np.random.SeedSequence:
 def derive_seed(seed: int, name: str) -> int:
     """Deterministic integer seed for the named stream (e.g. a grid cell)."""
     return int(named_seed_sequence(seed, name).generate_state(1, dtype=np.uint64)[0])
-
-
-class RandomStreams:
-    """A family of independent random generators derived from one seed."""
-
-    def __init__(self, seed: int | None = None) -> None:
-        self._seed_sequence = np.random.SeedSequence(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return (creating on first use) the generator for ``name``.
-
-        The generator for a given name is deterministic in the root seed and
-        the name, independent of creation order.
-        """
-        if name not in self._streams:
-            child = named_seed_sequence(self._seed_sequence.entropy, name)
-            self._streams[name] = np.random.default_rng(child)
-        return self._streams[name]
-
-    def __getitem__(self, name: str) -> np.random.Generator:
-        return self.stream(name)

@@ -20,12 +20,7 @@ produces the same observables:
   harness (EB sweeps, time-series captures, model-building runs).
 """
 
-from repro.tpcw.transactions import (
-    TransactionType,
-    TransactionClass,
-    TRANSACTION_CATALOG,
-    transaction_names,
-)
+from repro.tpcw.transactions import TransactionType, TransactionClass, TRANSACTION_CATALOG
 from repro.tpcw.mixes import (
     TransactionMix,
     BROWSING_MIX,
@@ -47,7 +42,6 @@ __all__ = [
     "TransactionType",
     "TransactionClass",
     "TRANSACTION_CATALOG",
-    "transaction_names",
     "TransactionMix",
     "BROWSING_MIX",
     "SHOPPING_MIX",

@@ -25,7 +25,6 @@ __all__ = [
     "TransactionClass",
     "TransactionType",
     "TRANSACTION_CATALOG",
-    "transaction_names",
     "browsing_transactions",
     "ordering_transactions",
 ]
@@ -112,11 +111,6 @@ def _catalog() -> dict[str, TransactionType]:
 
 #: The full TPC-W transaction catalogue, keyed by transaction name.
 TRANSACTION_CATALOG: dict[str, TransactionType] = _catalog()
-
-
-def transaction_names() -> list[str]:
-    """Names of all 14 transactions, in catalogue order."""
-    return list(TRANSACTION_CATALOG.keys())
 
 
 def browsing_transactions() -> list[str]:

@@ -3,8 +3,8 @@
 This subpackage provides everything needed to reproduce the synthetic
 workloads of Section 2 of the paper (Figure 1 and Table 1):
 
-* :mod:`~repro.traces.generators` — i.i.d. sample generators
-  (hyper-exponential, exponential, Erlang, from an arbitrary PH or MAP),
+* :mod:`~repro.traces.generators` — the i.i.d. hyper-exponential sample
+  generator and the four Figure-1 traces built from it,
 * :mod:`~repro.traces.burstiness` — reordering of a sample sequence into
   bursty profiles with a controllable index of dispersion, preserving the
   marginal distribution exactly,
@@ -22,20 +22,12 @@ from repro.traces.stats import (
     index_of_dispersion_counts,
     scv,
 )
-from repro.traces.generators import (
-    exponential_samples,
-    erlang_samples,
-    hyperexponential_samples,
-    ph_samples,
-    map_samples,
-    figure1_traces,
-)
+from repro.traces.generators import hyperexponential_samples, figure1_traces
 from repro.traces.burstiness import (
     impose_burstiness,
     shuffle_trace,
     calibrate_bursts_to_dispersion,
 )
-from repro.traces.longrange import aggregated_variance, hurst_aggregated_variance
 
 __all__ = [
     "Trace",
@@ -44,15 +36,9 @@ __all__ = [
     "index_of_dispersion_acf",
     "index_of_dispersion_counts",
     "scv",
-    "exponential_samples",
-    "erlang_samples",
     "hyperexponential_samples",
-    "ph_samples",
-    "map_samples",
     "figure1_traces",
     "impose_burstiness",
     "shuffle_trace",
     "calibrate_bursts_to_dispersion",
-    "aggregated_variance",
-    "hurst_aggregated_variance",
 ]

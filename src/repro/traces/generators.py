@@ -1,4 +1,4 @@
-"""Generators of i.i.d. and correlated sample sequences.
+"""Generators of the synthetic sample sequences of Section 2.
 
 These are the workload sources of Section 2: all four traces of Figure 1 are
 drawn from the *same* two-phase hyper-exponential distribution (mean 1,
@@ -10,46 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.maps.map_process import MAP
-from repro.maps.ph import PHDistribution, hyperexp_rates_from_moments
-from repro.maps.sampling import sample_interarrival_times
+from repro.maps.ph import hyperexp_rates_from_moments
 from repro.traces.burstiness import calibrate_bursts_to_dispersion, shuffle_trace
 from repro.traces.trace import Trace
 
-__all__ = [
-    "exponential_samples",
-    "erlang_samples",
-    "hyperexponential_samples",
-    "ph_samples",
-    "map_samples",
-    "figure1_traces",
-]
+__all__ = ["hyperexponential_samples", "figure1_traces"]
 
 
 def _default_rng(rng: np.random.Generator | None) -> np.random.Generator:
     return np.random.default_rng() if rng is None else rng
-
-
-def exponential_samples(
-    size: int, mean: float, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """I.i.d. exponential samples with the given mean."""
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    rng = _default_rng(rng)
-    return rng.exponential(mean, size)
-
-
-def erlang_samples(
-    size: int, order: int, mean: float, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """I.i.d. Erlang-``order`` samples with the given mean (SCV = 1/order)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    rng = _default_rng(rng)
-    return rng.gamma(shape=order, scale=mean / order, size=size)
 
 
 def hyperexponential_samples(
@@ -66,20 +35,6 @@ def hyperexponential_samples(
     fast = rng.exponential(1.0 / rate1, size)
     slow = rng.exponential(1.0 / rate2, size)
     return np.where(choices, fast, slow)
-
-
-def ph_samples(
-    ph: PHDistribution, size: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """I.i.d. samples from an arbitrary phase-type distribution."""
-    return ph.sample(size, rng=_default_rng(rng))
-
-
-def map_samples(
-    map_process: MAP, size: int, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Correlated samples: consecutive inter-event times of a MAP."""
-    return sample_interarrival_times(map_process, size, rng=_default_rng(rng))
 
 
 def figure1_traces(

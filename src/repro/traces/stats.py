@@ -25,7 +25,6 @@ __all__ = [
     "autocorrelation_function",
     "index_of_dispersion_acf",
     "index_of_dispersion_counts",
-    "index_of_dispersion_profile",
 ]
 
 
@@ -191,17 +190,3 @@ def index_of_dispersion_counts(
         if stable_steps >= 2:
             return float(ratio)
     return float(ratio if ratio is not None else 0.0)
-
-
-def index_of_dispersion_profile(
-    samples, windows
-) -> np.ndarray:
-    """Variance-to-mean ratio of counts for each window length in ``windows``.
-
-    Useful to inspect the convergence of eq. (2) towards its asymptotic value
-    (and, through the aggregated-variance connection, to relate the index of
-    dispersion to long-range dependence).
-    """
-    return np.array(
-        [index_of_dispersion_counts(samples, window=w) for w in np.asarray(windows, dtype=float)]
-    )

@@ -8,7 +8,6 @@ import pytest
 from repro.core.dispersion import (
     DispersionEstimate,
     InsufficientDataError,
-    dispersion_profile,
     estimate_index_of_dispersion,
 )
 from repro.maps import map2_from_moments_and_decay
@@ -115,10 +114,3 @@ class TestValidation:
     def test_never_busy_raises(self):
         with pytest.raises(InsufficientDataError):
             estimate_index_of_dispersion([0.0] * 200, [0.0] * 200, 1.0)
-
-    def test_dispersion_profile_on_explicit_windows(self, rng):
-        service = rng.exponential(0.01, 50_000)
-        utilizations, completions = monitoring_windows_from_service_trace(service, 1.0)
-        profile = dispersion_profile(utilizations, completions, 1.0, [1.0, 5.0, 10.0])
-        assert profile.shape == (3,)
-        assert np.all(np.isfinite(profile))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.percentiles import estimate_p95_service_time, estimate_service_percentile
+from repro.core.percentiles import estimate_service_percentile
 
 
 class TestPercentileEstimation:
@@ -15,7 +15,7 @@ class TestPercentileEstimation:
         utilizations = np.full(200, 0.5)
         completions = np.full(200, 10.0)
         # busy time = 0.5 * 2 s = 1 s per window, 10 jobs -> 0.1 s each
-        estimate = estimate_p95_service_time(utilizations, completions, 2.0)
+        estimate = estimate_service_percentile(utilizations, completions, 2.0)
         assert estimate == pytest.approx(0.1, rel=1e-9)
 
     def test_bursty_windows_raise_p95(self, rng):
@@ -27,8 +27,8 @@ class TestPercentileEstimation:
         burst_jobs = np.full(10, 5.0)
         utilizations = np.concatenate([normal_util, burst_util])
         completions = np.concatenate([normal_jobs, burst_jobs])
-        estimate = estimate_p95_service_time(utilizations, completions, 1.0)
-        baseline = estimate_p95_service_time(normal_util, normal_jobs, 1.0)
+        estimate = estimate_service_percentile(utilizations, completions, 1.0)
+        baseline = estimate_service_percentile(normal_util, normal_jobs, 1.0)
         assert estimate >= baseline
 
     def test_quantile_parameter_monotone(self):
@@ -42,7 +42,7 @@ class TestPercentileEstimation:
     def test_idle_windows_ignored(self):
         utilizations = np.array([0.0, 0.5, 0.0, 0.5] * 50)
         completions = np.array([0.0, 10.0, 0.0, 10.0] * 50)
-        estimate = estimate_p95_service_time(utilizations, completions, 2.0)
+        estimate = estimate_service_percentile(utilizations, completions, 2.0)
         assert estimate == pytest.approx(0.1, rel=1e-9)
 
     def test_validation_errors(self):

@@ -60,7 +60,7 @@ def _spec(**overrides):
         workload=_workload(),
         solvers=(
             SolverSpec(kind="piecewise_ctmc"),
-            SolverSpec(kind="simulation", options={"warmup": 5.0, "sim_backend": "batched"}),
+            SolverSpec(kind="simulation", options={"warmup": 5.0}),
         ),
         replication=ReplicationPolicy(replications=3, base_seed=99, policy="per_cell"),
     )

@@ -217,6 +217,7 @@ class TestValidation:
             derive_seed(None, "cell")
         assert derive_seed(1, "cell") == derive_seed(1, "cell")
         assert derive_seed(1, "cell") != derive_seed(2, "cell")
+        assert derive_seed(1, "cell") != derive_seed(1, "other")
 
     def test_trace_utilization_bounds(self):
         with pytest.raises(ValueError):

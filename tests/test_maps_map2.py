@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.maps import (
+    MAP,
     hyperexponential_ph,
     map2_correlated_hyperexp,
     map2_exponential,
     map2_from_moments_and_decay,
-    map2_from_ph_renewal,
     map2_hyperexponential_renewal,
 )
 
@@ -27,13 +27,13 @@ class TestExponentialConstructor:
 class TestRenewalConstructors:
     def test_from_ph_preserves_marginal(self):
         ph = hyperexponential_ph(2.0, 4.0)
-        renewal = map2_from_ph_renewal(ph)
+        renewal = MAP(ph.T, np.outer(ph.exit_rates, ph.alpha))
         assert renewal.mean() == pytest.approx(ph.mean(), rel=1e-9)
         assert renewal.scv() == pytest.approx(ph.scv(), rel=1e-9)
 
     def test_from_ph_has_no_correlation(self):
         ph = hyperexponential_ph(1.0, 6.0)
-        renewal = map2_from_ph_renewal(ph)
+        renewal = MAP(ph.T, np.outer(ph.exit_rates, ph.alpha))
         assert renewal.autocorrelation(1) == pytest.approx(0.0, abs=1e-9)
 
     def test_hyperexp_renewal_matches_moments(self):

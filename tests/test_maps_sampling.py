@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.maps import sample_interarrival_times, sample_marked_ctmc
+from repro.maps import sample_interarrival_times
 from repro.traces.stats import autocorrelation
 
 
@@ -45,27 +45,3 @@ class TestInterarrivalSampling:
         first = sample_interarrival_times(bursty_map, 100, rng=np.random.default_rng(7))
         second = sample_interarrival_times(bursty_map, 100, rng=np.random.default_rng(7))
         assert np.allclose(first, second)
-
-
-class TestMarkedCtmcSampling:
-    def test_event_times_within_horizon(self, poisson_map, rng):
-        times, phases = sample_marked_ctmc(poisson_map, horizon=50.0, rng=rng)
-        assert np.all(times <= 50.0)
-        assert times.shape == phases.shape
-
-    def test_event_rate_close_to_fundamental_rate(self, poisson_map, rng):
-        times, _ = sample_marked_ctmc(poisson_map, horizon=5000.0, rng=rng)
-        rate = len(times) / 5000.0
-        assert rate == pytest.approx(poisson_map.fundamental_rate, rel=0.1)
-
-    def test_event_times_sorted(self, bursty_map, rng):
-        times, _ = sample_marked_ctmc(bursty_map, horizon=200.0, rng=rng)
-        assert np.all(np.diff(times) >= 0)
-
-    def test_requires_positive_horizon(self, poisson_map):
-        with pytest.raises(ValueError):
-            sample_marked_ctmc(poisson_map, horizon=0.0)
-
-    def test_phases_valid(self, bursty_map, rng):
-        _, phases = sample_marked_ctmc(bursty_map, horizon=100.0, rng=rng)
-        assert np.all((phases >= 0) & (phases < bursty_map.order))

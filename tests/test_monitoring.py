@@ -1,18 +1,11 @@
-"""Tests for the monitoring substrate (windows, collectors, busy periods, regression)."""
+"""Tests for the monitoring substrate (windows and collectors)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.monitoring import (
-    BusyPeriod,
-    CountWindows,
-    ServerMonitor,
-    TimeWeightedWindows,
-    busy_periods_from_utilization,
-    estimate_service_demands,
-)
+from repro.monitoring import CountWindows, ServerMonitor, TimeWeightedWindows
 
 
 class TestCountWindows:
@@ -176,83 +169,6 @@ class TestServerMonitor:
         series = monitor.series(horizon=5.0)
         with pytest.raises(ValueError):
             series.completion_utilization()
-
-
-class TestBusyPeriods:
-    def test_extraction(self):
-        utilizations = [0.0, 0.5, 0.8, 0.0, 0.3, 0.0]
-        completions = [0, 5, 8, 0, 3, 0]
-        periods = busy_periods_from_utilization(utilizations, 1.0, completions)
-        assert len(periods) == 2
-        first, second = periods
-        assert isinstance(first, BusyPeriod)
-        assert first.start_index == 1 and first.end_index == 2
-        assert first.busy_time == pytest.approx(1.3)
-        assert first.completions == pytest.approx(13)
-        assert second.num_windows == 1
-
-    def test_trailing_busy_period_closed(self):
-        periods = busy_periods_from_utilization([0.5, 0.5], 1.0)
-        assert len(periods) == 1
-        assert periods[0].num_windows == 2
-
-    def test_threshold(self):
-        periods = busy_periods_from_utilization([0.05, 0.5], 1.0, threshold=0.1)
-        assert len(periods) == 1
-        assert periods[0].start_index == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            busy_periods_from_utilization([0.5], 0.0)
-        with pytest.raises(ValueError):
-            busy_periods_from_utilization([0.5, 0.5], 1.0, completions=[1.0])
-
-
-class TestDemandRegression:
-    def test_recovers_known_demands(self, rng):
-        period = 5.0
-        demands = {"browse": 0.004, "order": 0.010}
-        counts = {
-            "browse": rng.integers(50, 200, 400).astype(float),
-            "order": rng.integers(10, 60, 400).astype(float),
-        }
-        utilization = (
-            demands["browse"] * counts["browse"] + demands["order"] * counts["order"]
-        ) / period
-        result = estimate_service_demands(utilization, counts, period, fit_background=False)
-        assert result.demand("browse") == pytest.approx(0.004, rel=1e-6)
-        assert result.demand("order") == pytest.approx(0.010, rel=1e-6)
-        assert result.r_squared == pytest.approx(1.0, abs=1e-9)
-
-    def test_background_utilization_recovered(self, rng):
-        period = 5.0
-        counts = {"all": rng.integers(50, 200, 300).astype(float)}
-        utilization = 0.05 + 0.002 * counts["all"] / period
-        result = estimate_service_demands(utilization, counts, period)
-        assert result.demand("all") == pytest.approx(0.002, rel=0.05)
-        assert result.background_utilization == pytest.approx(0.05, rel=0.1)
-
-    def test_noisy_regression_close(self, rng):
-        period = 5.0
-        counts = {"a": rng.integers(50, 500, 500).astype(float)}
-        utilization = np.clip(0.003 * counts["a"] / period + rng.normal(0, 0.01, 500), 0, 1)
-        result = estimate_service_demands(utilization, counts, period)
-        assert result.demand("a") == pytest.approx(0.003, rel=0.1)
-
-    def test_aggregate_demand(self):
-        result_demands = {"a": 0.01, "b": 0.02}
-        from repro.monitoring.regression import RegressionResult
-
-        result = RegressionResult(result_demands, 0.0, 0.0, 1.0)
-        assert result.aggregate_demand({"a": 3, "b": 1}) == pytest.approx(0.0125)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            estimate_service_demands([0.5, 0.5], {}, 1.0)
-        with pytest.raises(ValueError):
-            estimate_service_demands([0.5, 0.5], {"a": np.array([1.0])}, 1.0)
-        with pytest.raises(ValueError):
-            estimate_service_demands([0.5], {"a": np.array([1.0])}, 0.0)
 
 
 class TestEmptySeriesHardening:

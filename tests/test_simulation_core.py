@@ -1,11 +1,11 @@
-"""Tests for the discrete-event simulation primitives (events, PS server, streams)."""
+"""Tests for the discrete-event simulation primitives (events, PS server)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.simulation import EventQueue, ProcessorSharingServer, RandomStreams
+from repro.simulation import EventQueue, ProcessorSharingServer
 
 
 class TestEventQueue:
@@ -103,30 +103,3 @@ class TestProcessorSharingServer:
                 responses.append(clock - arrivals.pop(finished))
         expected = 1.0 / (service_rate - arrival_rate)
         assert np.mean(responses) == pytest.approx(expected, rel=0.1)
-
-
-class TestRandomStreams:
-    def test_same_name_same_stream_object(self):
-        streams = RandomStreams(1)
-        assert streams.stream("a") is streams.stream("a")
-
-    def test_deterministic_across_instances(self):
-        first = RandomStreams(7).stream("think").random(5)
-        second = RandomStreams(7).stream("think").random(5)
-        assert np.allclose(first, second)
-
-    def test_independent_of_creation_order(self):
-        streams_ab = RandomStreams(3)
-        a_first = streams_ab.stream("a").random(3)
-        streams_ba = RandomStreams(3)
-        streams_ba.stream("b")
-        a_second = streams_ba.stream("a").random(3)
-        assert np.allclose(a_first, a_second)
-
-    def test_different_names_differ(self):
-        streams = RandomStreams(5)
-        assert not np.allclose(streams.stream("x").random(4), streams.stream("y").random(4))
-
-    def test_getitem_alias(self):
-        streams = RandomStreams(2)
-        assert streams["z"] is streams.stream("z")

@@ -5,12 +5,12 @@ Covers the failure-aware modeling layer end to end:
 * **overlay** — ``TimeVaryingWorkload.outages`` splits resolved segments at
   window edges, marks the covered spans down, and is the identity when no
   outages are declared,
-* **cross-validation** — on an outage timeline the scalar SSA, the lockstep
-  batched kernel and the uniformized transient CTMC agree within CLT
-  tolerances (the queue at a down station is real physics, not an artifact
-  of one implementation),
+* **cross-validation** — on an outage timeline the simulation kernel, run
+  through its per-seed and its replication-set entry, and the uniformized
+  transient CTMC agree within CLT tolerances (the queue at a down station
+  is real physics, not an artifact of one implementation),
 * **deadlock handling** — when the whole population is stuck at a down
-  station the total event rate is zero; both kernels must advance the clock
+  station the total event rate is zero; both entries must advance the clock
   to the next boundary (never divide by zero, never draw bogus events) and
   stay batch-composition independent,
 * **guard rails** — ``solve_piecewise_stationary`` refuses outage segments
@@ -236,7 +236,7 @@ class TestDeadlock:
 
     def test_outage_ending_exactly_at_horizon(self):
         # The timeline ends while the network is fully deadlocked: both
-        # kernels must advance the clock to the horizon (zero total event
+        # entries must advance the clock to the horizon (zero total event
         # rate, nothing left to draw) and terminate deterministically.
         front, db = _front(), _db()
         common = dict(front=front, db=db, think_time=0.05, population=3)

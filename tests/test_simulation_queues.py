@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.maps import map2_exponential, map2_from_moments_and_decay
-from repro.queueing import mg1_mean_response_time, solve_map_closed_network
+from repro.queueing import solve_map_closed_network
 from repro.simulation import simulate_closed_map_network, simulate_mtrace1
 from repro.simulation.trace_queue import simulate_gtrace1
 
@@ -21,8 +21,9 @@ class TestTraceQueue:
     def test_md1_mean_response_time(self, rng):
         service = np.ones(100_000)
         result = simulate_mtrace1(service, utilization=0.5, rng=rng)
-        expected = mg1_mean_response_time(0.5, 1.0, 0.0)
-        assert result.mean_response_time == pytest.approx(expected, rel=0.1)
+        # Pollaczek-Khinchin with lambda = 0.5, E[S] = 1, SCV = 0:
+        # E[R] = E[S] + rho * E[S] * (1 + SCV) / (2 * (1 - rho)) = 1 + 0.5 = 1.5.
+        assert result.mean_response_time == pytest.approx(1.5, rel=0.1)
 
     def test_utilization_estimate(self, rng):
         service = rng.exponential(1.0, 50_000)

@@ -16,7 +16,6 @@ from repro.tpcw import (
     TRANSACTION_CATALOG,
     TransactionClass,
     TransactionMix,
-    transaction_names,
 )
 from repro.tpcw.transactions import browsing_transactions, ordering_transactions
 
@@ -43,9 +42,6 @@ class TestCatalog:
         for transaction in TRANSACTION_CATALOG.values():
             assert transaction.front_demand > 0
             assert transaction.db_demand >= 0
-
-    def test_names_helper(self):
-        assert set(transaction_names()) == set(TRANSACTION_CATALOG)
 
 
 class TestMixes:

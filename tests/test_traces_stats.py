@@ -10,7 +10,6 @@ from repro.traces.stats import (
     autocorrelation_function,
     index_of_dispersion_acf,
     index_of_dispersion_counts,
-    index_of_dispersion_profile,
     scv,
 )
 
@@ -106,14 +105,6 @@ class TestDispersionCounts:
     def test_invalid_growth_rejected(self, exponential_trace):
         with pytest.raises(ValueError):
             index_of_dispersion_counts(exponential_trace, growth=0.9)
-
-    def test_profile_matches_explicit_windows(self, exponential_trace):
-        windows = [10.0, 50.0, 100.0]
-        profile = index_of_dispersion_profile(exponential_trace, windows)
-        for window, value in zip(windows, profile):
-            assert value == pytest.approx(
-                index_of_dispersion_counts(exponential_trace, window=window), rel=1e-9
-            )
 
     def test_bursty_trace_much_larger_than_iid(self, rng):
         base = rng.exponential(1.0, 20000)

@@ -5,16 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.traces import (
-    Trace,
-    erlang_samples,
-    exponential_samples,
-    figure1_traces,
-    hyperexponential_samples,
-    map_samples,
-    ph_samples,
-)
-from repro.maps import hyperexponential_ph, map2_from_moments_and_decay
+from repro.traces import Trace, figure1_traces, hyperexponential_samples
 
 
 class TestTraceContainer:
@@ -68,33 +59,10 @@ class TestTraceContainer:
 
 
 class TestGenerators:
-    def test_exponential_samples_mean(self, rng):
-        samples = exponential_samples(20000, 2.0, rng=rng)
-        assert samples.mean() == pytest.approx(2.0, rel=0.05)
-
-    def test_erlang_samples_scv(self, rng):
-        samples = erlang_samples(20000, 4, 1.0, rng=rng)
-        assert samples.var() / samples.mean() ** 2 == pytest.approx(0.25, rel=0.1)
-
     def test_hyperexponential_moments(self, rng):
         samples = hyperexponential_samples(30000, 1.0, 4.0, rng=rng)
         assert samples.mean() == pytest.approx(1.0, rel=0.05)
         assert samples.var() / samples.mean() ** 2 == pytest.approx(4.0, rel=0.25)
-
-    def test_ph_samples(self, rng):
-        samples = ph_samples(hyperexponential_ph(1.0, 3.0), 5000, rng=rng)
-        assert samples.mean() == pytest.approx(1.0, rel=0.1)
-
-    def test_map_samples(self, rng):
-        process = map2_from_moments_and_decay(1.0, 3.0, 0.9)
-        samples = map_samples(process, 5000, rng=rng)
-        assert samples.mean() == pytest.approx(1.0, rel=0.15)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            exponential_samples(10, -1.0)
-        with pytest.raises(ValueError):
-            erlang_samples(10, 0, 1.0)
 
 
 class TestFigure1:
