@@ -4,6 +4,7 @@ A cache entry is one *run directory* per scenario run::
 
     <cache-dir>/<scenario-name>-<spec-hash>/
         manifest.json            # spec, row metrics, artifact index, status
+        journal.jsonl            # cells settled since the manifest was written
         <cell-slug>-<h>.npz      # one integrity-checked side-file per
         <cell-slug>-<h>.json     # artifact-bearing cell
 
@@ -24,18 +25,22 @@ otherwise silently serve pre-change numbers; a fingerprint mismatch is a
 logged miss instead (both for complete loads and for resume-from-partial),
 and ``cache gc`` prunes such entries — they can never be served again.
 
-Writes are incremental and atomic: the runner streams completed cells into
-a :class:`CacheWriter`, which writes each artifact side-file and rewrites
-the manifest (temp file + ``os.replace``) after every cell, with
-``status: "partial"`` until the run finishes.  A killed run therefore leaves
-a valid partial entry, and the next run of the same spec resumes from it
-(:meth:`ResultCache.load_partial`) instead of recomputing finished cells.
+Writes stream into a :class:`CacheWriter` and survive a kill at any point.
+Opening the writer writes one ``status: "partial"`` manifest carrying the
+rows and failures the run resumes from.  Each completed cell then writes its
+artifact side-file and appends one line to the entry's journal
+(``journal.jsonl``); each permanent failure appends a line the same way.
+The manifest is written again only by :meth:`CacheWriter.write_partial` —
+the runner calls it when an exception (``KeyboardInterrupt``, a failure
+budget) leaves a run — and by :meth:`CacheWriter.finalize`, which then
+deletes the journal.  The next run of a killed run's spec replays the
+journal over the manifest (:meth:`ResultCache.load_resume_state`) instead of
+recomputing finished cells; a torn last line is skipped and its cell
+recomputes.  Replay is idempotent, so a journal left behind by a kill just
+after a manifest write is harmless.
 
 Unreadable, truncated or hand-edited entries are never an error: they are
-treated as a miss (logged at WARNING).  Entries written by the pre-artifact
-single-file format (``<scenario-name>-<spec-hash>.json``) predate the code
-fingerprint and therefore cannot prove which kernels produced them: they are
-listed by ``cache ls`` and removed by ``rm``/``gc``, but never served.
+treated as a miss (logged at WARNING).
 
 Suspect payloads are **quarantined**, not destroyed: a side-file that fails
 its digest check on the resume path, and the files of an entry whose manifest
@@ -66,7 +71,7 @@ from pathlib import Path
 
 from repro.experiments.results import ArtifactIntegrityError, ArtifactRef, write_artifact
 from repro.experiments.results.schema import CellFailure, CellResult, ExperimentResult
-from repro.experiments.spec import ScenarioSpec, cell_key
+from repro.experiments.spec import ScenarioSpec
 
 __all__ = [
     "CacheEntryInfo",
@@ -79,6 +84,8 @@ __all__ = [
     "fleet_activity",
     "manifest_fingerprint",
     "manifest_record",
+    "persist_row",
+    "rows_from_records",
     "source_fingerprint",
 ]
 
@@ -87,6 +94,10 @@ logger = logging.getLogger(__name__)
 _CACHE_ENV_VAR = "REPRO_EXPERIMENTS_CACHE"
 _DEFAULT_DIRNAME = ".experiments-cache"
 _MANIFEST = "manifest.json"
+#: Append-only log of the cells a pool run settled since its manifest was
+#: last written: one JSON line per cell, ``{"rows": [record]}`` (the shape
+#: of a fleet result shard) or ``{"failures": [record]}``.
+_JOURNAL = "journal.jsonl"
 _QUARANTINE = ".quarantine"
 #: Queue directory a distributed fleet campaign keeps inside the run
 #: directory (see :mod:`repro.experiments.fleet`).  The cache only needs to
@@ -169,19 +180,20 @@ def source_fingerprint() -> str:
     return digest.hexdigest()[:12]
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _write_json_atomic(path: Path, payload: dict | list, indent: int | None = None) -> None:
     # The temp name embeds the pid so concurrent writers (fleet workers and
     # their supervisor share one run directory) never interleave writes into
     # one temp file; ``os.replace`` keeps the final swap atomic either way.
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(text)
+    separators = (",", ":") if indent is None else None
+    tmp.write_text(json.dumps(payload, indent=indent, separators=separators, sort_keys=True))
     os.replace(tmp, path)
 
 
 def manifest_record(key: str, row: CellResult) -> dict:
     """The manifest ``rows`` document of one completed cell.
 
-    Shared between :class:`CacheWriter` (pool runs append records as cells
+    Shared between :class:`CacheWriter` (pool runs journal records as cells
     stream in) and the fleet workers (which persist the same records into
     per-unit result shards for the merge step), so both paths serialise
     cells identically.
@@ -192,6 +204,53 @@ def manifest_record(key: str, row: CellResult) -> dict:
         row.artifact.to_dict() if isinstance(row.artifact, ArtifactRef) else None
     )
     return record
+
+
+def persist_row(directory: Path, key: str, row: CellResult) -> CellResult:
+    """Write a row's in-memory artifact as a side-file; return the row with
+    its ref.  The persist step of :meth:`CacheWriter.add` and fleet workers."""
+    if row.artifact is None or isinstance(row.artifact, ArtifactRef):
+        return row
+    return row.with_artifact(write_artifact(row.artifact, directory, _artifact_stem(key)))
+
+
+def rows_from_records(directory: Path, records) -> dict[str, CellResult]:
+    """Decode manifest row records, keyed by cell key; artifact refs resolve
+    against ``directory``.  Malformed records raise ``KeyError``,
+    ``TypeError`` or ``ValueError``."""
+    rows: dict[str, CellResult] = {}
+    for record in records:
+        row = CellResult.from_dict(record)
+        if record.get("artifact") is not None:
+            row = row.with_artifact(ArtifactRef.from_dict(record["artifact"], directory))
+        rows[record["key"]] = row
+    return rows
+
+
+def _read_journal(path: Path) -> list[dict]:
+    """The entries of a run directory's journal, oldest first.
+
+    A torn or unparseable line (a kill mid-append leaves at most the last
+    one) is skipped with a warning; its cell simply recomputes.
+    """
+    try:
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+    except OSError:  # no journal: nothing settled since the manifest write
+        return []
+    entries = []
+    for number, line in enumerate(lines, 1):
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError:
+            entry = None
+        if not isinstance(entry, dict):
+            logger.warning(
+                "skipping torn line %d of cache journal %s; its cells will "
+                "recompute", number, path,
+            )
+            continue
+        entries.append(entry)
+    return entries
 
 
 def manifest_fingerprint(path: str | os.PathLike) -> str:
@@ -319,15 +378,6 @@ def _quarantine_entry(entry_dir: Path) -> int:
     return moved
 
 
-def _quarantine_stats(entry_dir: Path) -> tuple[int, int]:
-    """(files, bytes) currently held in an entry's quarantine subdirectory."""
-    quarantine_dir = entry_dir / _QUARANTINE
-    if not quarantine_dir.is_dir():
-        return 0, 0
-    files = [f for f in quarantine_dir.iterdir() if f.is_file()]
-    return len(files), sum(f.stat().st_size for f in files)
-
-
 @dataclass(frozen=True)
 class CacheEntryInfo:
     """One cache entry as reported by :meth:`ResultCache.entries`."""
@@ -397,8 +447,9 @@ class ResultCache:
         """Return the complete cached result for ``spec``, or ``None``.
 
         Partial entries (a killed run) are a miss here — the runner picks
-        them up through :meth:`load_partial` and finishes the remaining
-        cells.  Any unreadable entry is a logged miss, never an exception.
+        them up through :meth:`load_resume_state` and finishes the remaining
+        cells; a complete entry ignores any leftover journal.  Any unreadable
+        entry is a logged miss, never an exception.
         """
         manifest = self._read_manifest(spec)
         if manifest is None:
@@ -412,7 +463,7 @@ class ResultCache:
                 self.path(spec), len(manifest["failures"]),
             )
             return None
-        rows_by_key = self._rows_from_manifest(spec, manifest)
+        rows_by_key = self._decode_rows(spec, manifest.get("rows"))
         if rows_by_key is None:
             return None
         ordered = []
@@ -442,31 +493,33 @@ class ResultCache:
             },
         )
 
-    def load_partial(self, spec: ScenarioSpec) -> dict[str, CellResult]:
-        """Completed cells of a partial (or complete) entry, keyed by cell key.
-
-        Thin compatibility wrapper over :meth:`load_resume_state` for callers
-        that only need the rows.
-        """
-        state = self.load_resume_state(spec)
-        return {} if state is None else dict(state.rows)
-
     def load_resume_state(self, spec: ScenarioSpec) -> "ResumeState | None":
         """Everything a resuming run needs from an existing entry, or ``None``.
 
-        Artifact side-files are verified eagerly here — a resumed run must
-        not build on tampered or truncated payloads, so any row whose
-        artifact fails verification is quarantined under ``.quarantine/``
-        and dropped from the resume state (the cell will be recomputed).
-        Recorded failures ride along so the runner can replay or retry them.
+        The journal is replayed over the manifest by cell key, under the
+        supersede rules of :meth:`CacheWriter.absorb_record` and
+        :meth:`CacheWriter.absorb_failure_record`; a journal is only trusted
+        under a manifest :meth:`_read_manifest` accepts.  Artifact side-files
+        are verified eagerly here — a resumed run must not build on tampered
+        or truncated payloads, so any row whose artifact fails verification
+        is quarantined under ``.quarantine/`` and dropped from the resume
+        state (the cell will be recomputed).  Recorded failures ride along
+        so the runner can replay or retry them.
         """
         manifest = self._read_manifest(spec)
         if manifest is None:
             return None
-        rows_by_key = self._rows_from_manifest(spec, manifest)
+        directory = self.path(spec)
+        try:
+            merged = _merge_entry(manifest, directory)
+        except (AttributeError, KeyError, TypeError) as error:
+            logger.warning(
+                "treating malformed cache manifest in %s as a miss: %s", directory, error
+            )
+            return None
+        rows_by_key = self._decode_rows(spec, merged.records.values())
         if rows_by_key is None:
             return None
-        directory = self.path(spec)
         intact: dict[str, CellResult] = {}
         for key, row in rows_by_key.items():
             if isinstance(row.artifact, ArtifactRef):
@@ -483,8 +536,7 @@ class ResultCache:
             intact[key] = row
         try:
             failures = tuple(
-                CellFailure.from_dict(record)
-                for record in manifest.get("failures", ())
+                CellFailure.from_dict(record) for record in merged.failures.values()
             )
         except (KeyError, TypeError, ValueError) as error:
             logger.warning(
@@ -525,20 +577,10 @@ class ResultCache:
             return None
         return manifest
 
-    def _rows_from_manifest(
-        self, spec: ScenarioSpec, manifest: dict
-    ) -> dict[str, CellResult] | None:
+    def _decode_rows(self, spec: ScenarioSpec, records) -> dict[str, CellResult] | None:
         directory = self.path(spec)
         try:
-            rows: dict[str, CellResult] = {}
-            for record in manifest["rows"]:
-                row = CellResult.from_dict(record)
-                if record.get("artifact") is not None:
-                    row = row.with_artifact(
-                        ArtifactRef.from_dict(record["artifact"], directory)
-                    )
-                rows[record["key"]] = row
-            return rows
+            return rows_from_records(directory, records)
         except (KeyError, TypeError, ValueError) as error:
             logger.warning(
                 "treating malformed cache manifest in %s as a miss: %s", directory, error
@@ -561,18 +603,6 @@ class ResultCache:
         retrying them.
         """
         return CacheWriter(self, spec, resumed or {}, failures)
-
-    def store(self, result: ExperimentResult, spec: ScenarioSpec) -> Path:
-        """Write a finished ``result`` for ``spec`` in one call.
-
-        Convenience wrapper over :meth:`writer` for callers that do not
-        stream (tests, ad-hoc scripts); returns the run directory.
-        """
-        writer = self.writer(spec)
-        for row in result.rows:
-            writer.add(cell_key(spec.name, row.solver, row.params, row.replication), row)
-        writer.finalize(result.elapsed_seconds)
-        return self.path(spec)
 
     # ------------------------------------------------------------------
     # Inventory / maintenance (the ``cache`` CLI surface)
@@ -601,7 +631,9 @@ class ResultCache:
         mtime = child.stat().st_mtime
         try:
             manifest = json.loads(manifest_path.read_text())
-            rows = manifest["rows"]
+            merged = _merge_entry(manifest, child)
+            rows = list(merged.records.values())
+            journal = child / _JOURNAL
             return CacheEntryInfo(
                 name=manifest.get("name", name),
                 spec_hash=manifest.get("spec_hash", spec_hash),
@@ -610,10 +642,12 @@ class ResultCache:
                 cells=len(rows),
                 artifacts=sum(1 for r in rows if r.get("artifact") is not None),
                 total_bytes=total_bytes,
-                mtime=manifest_path.stat().st_mtime,
+                # A running pool run only appends to its journal.
+                mtime=max(manifest_path.stat().st_mtime,
+                          journal.stat().st_mtime if journal.exists() else 0.0),
                 code_fingerprint=manifest.get("code_fingerprint"),
             )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+        except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError):
             return CacheEntryInfo(
                 name=name, spec_hash=spec_hash, path=child, status="corrupt",
                 cells=0, artifacts=0, total_bytes=total_bytes, mtime=mtime,
@@ -646,9 +680,11 @@ class ResultCache:
           that have been sitting for at least an hour — the grace period
           protects a concurrent run whose directory exists but whose first
           manifest write has not landed yet,
-        * side-files inside live run directories that no manifest references
-          (left behind by a kill between an artifact write and the manifest
-          rewrite),
+        * side-files inside live run directories that neither the manifest
+          nor the journal references (left behind by a kill between an
+          artifact write and its journal line), and the journal of a
+          complete entry (a kill between the final manifest write and the
+          journal's deletion leaves it; the manifest holds all of it),
         * ``.quarantine/`` subdirectories — suspect payloads are kept for
           post-mortems until gc runs, then discarded,
         * ``.fleet/`` queue directories of *merged, dead* campaigns (the
@@ -688,14 +724,14 @@ class ResultCache:
             )
             corrupt = info.status == "corrupt" and info.age_seconds > _CORRUPT_GRACE_SECONDS
             if stale_hash or stale_code or too_old or corrupt:
-                _, quarantine_bytes = _quarantine_stats(info.path)
+                _, quarantine_bytes = _tree_size(info.path / _QUARANTINE)
                 _, fleet_bytes = _tree_size(info.path / FLEET_DIRNAME)
                 freed += info.total_bytes + quarantine_bytes + fleet_bytes
                 shutil.rmtree(info.path, ignore_errors=True)
                 removed_entries.append(info.path.name)
                 continue
             if (info.path / _QUARANTINE).is_dir():
-                quarantined, quarantine_bytes = _quarantine_stats(info.path)
+                quarantined, quarantine_bytes = _tree_size(info.path / _QUARANTINE)
                 shutil.rmtree(info.path / _QUARANTINE, ignore_errors=True)
                 removed_orphans += quarantined
                 freed += quarantine_bytes
@@ -716,19 +752,20 @@ class ResultCache:
     def _prune_orphans(entry_dir: Path) -> tuple[int, int]:
         try:
             manifest = json.loads((entry_dir / _MANIFEST).read_text())
-            referenced = {
+            keep = {
                 record["artifact"]["file"]
-                for record in manifest["rows"]
+                for record in _merge_entry(manifest, entry_dir).records.values()
                 if record.get("artifact") is not None
             }
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
+        except (OSError, json.JSONDecodeError, AttributeError, KeyError, TypeError):
             return 0, 0
+        keep.add(_MANIFEST)
+        if manifest.get("status") != "complete":
+            keep.add(_JOURNAL)
         removed = 0
         freed = 0
         for child in entry_dir.iterdir():
-            if child.name == _MANIFEST or not child.is_file():
-                continue
-            if child.name not in referenced:
+            if child.is_file() and child.name not in keep:
                 freed += child.stat().st_size
                 child.unlink()
                 removed += 1
@@ -743,14 +780,65 @@ def _split_entry_name(stem: str) -> tuple[str, str]:
     return stem, ""
 
 
-class CacheWriter:
+class _RecordSet:
+    """Row and failure records keyed by cell key, merged as they arrive.
+
+    The supersede rules of every write path: a computed row replaces a
+    failure of the same key, and a failure never replaces a computed row.
+    """
+
+    def __init__(self) -> None:
+        self.records: dict[str, dict] = {}
+        self.failures: dict[str, dict] = {}
+
+    def absorb_record(self, record: dict) -> None:
+        """Merge one pre-serialised row record (a :func:`manifest_record`)."""
+        key = record["key"]
+        self.failures.pop(key, None)
+        self.records[key] = dict(record)
+
+    def absorb_failure_record(self, record: dict) -> None:
+        """Merge one pre-serialised failure record.
+
+        A completed row of the same key wins — a unit that failed on one
+        worker but was later computed by another is not a failure.
+        """
+        key = record["key"]
+        if key not in self.records:
+            self.failures[key] = dict(record)
+
+    def absorb_entry(self, entry: dict) -> None:
+        """Merge one manifest or journal document (``rows`` + ``failures``)."""
+        for record in entry.get("rows", ()):
+            self.absorb_record(record)
+        for record in entry.get("failures", ()):
+            self.absorb_failure_record(record)
+
+
+def _merge_entry(manifest: dict, entry_dir: Path) -> _RecordSet:
+    """A run directory's manifest with its journal replayed over it.
+
+    Replay is idempotent: journal lines the manifest already holds change
+    nothing.  A record without its key raises ``KeyError`` or ``TypeError``.
+    """
+    merged = _RecordSet()
+    merged.absorb_entry({"rows": manifest["rows"], "failures": manifest.get("failures", ())})
+    for entry in _read_journal(entry_dir / _JOURNAL):
+        merged.absorb_entry(entry)
+    return merged
+
+
+class CacheWriter(_RecordSet):
     """Streams completed cells into one run directory.
 
-    Each :meth:`add` writes the cell's artifact side-file (if any) and
-    atomically rewrites the manifest with ``status: "partial"``;
-    :meth:`add_failure` records a permanently failed cell the same way;
-    :meth:`finalize` flips the status to ``complete`` (failures included — a
-    finalized-with-failures entry is a partial *result* the next run
+    Opening the writer writes a ``status: "partial"`` manifest of the
+    resumed rows and replayed failures.  Each :meth:`add` writes the cell's
+    artifact side-file (if any) and appends one line to the journal;
+    :meth:`add_failure` journals a permanently failed cell the same way.
+    Neither rewrites the manifest: :meth:`write_partial` and
+    :meth:`finalize` do, and each deletes the journal it has absorbed.
+    :meth:`finalize` flips the status to ``complete`` (failures included —
+    a finalized-with-failures entry is a partial *result* the next run
     retries).  A run killed at any point therefore leaves a loadable partial
     entry.
 
@@ -767,13 +855,12 @@ class CacheWriter:
         resumed: dict[str, CellResult],
         failures: tuple[CellFailure, ...] = (),
     ) -> None:
+        super().__init__()
         self.cache = cache
         self.spec = spec
         self.directory = cache.path(spec)
         self.artifacts_written = 0
         self.bytes_written = 0
-        self._records: dict[str, dict] = {}
-        self._failures: dict[str, dict] = {}
         if (
             not resumed
             and (self.directory / _MANIFEST).exists()
@@ -786,79 +873,59 @@ class CacheWriter:
                     moved, self.directory, _QUARANTINE,
                 )
         for key, row in resumed.items():
-            self._records[key] = self._record(key, row)
+            self.records[key] = manifest_record(key, row)
         for failure in failures:
-            self._failures[failure.key] = failure.to_dict()
+            self.failures[failure.key] = failure.to_dict()
+        self._write_manifest(status="partial")
 
     def add(self, key: str, row: CellResult, keep_in_memory: bool = False) -> CellResult:
         """Persist one completed cell; returns the row to hand back.
 
         The returned row carries an :class:`ArtifactRef` in place of the
         in-memory artifact unless ``keep_in_memory`` asks to keep the decoded
-        object on the row (the cache side-file is written either way).
+        object on the row (the cache side-file is written either way).  The
+        journal line is flushed before this returns.
         """
-        stored = row
-        self._failures.pop(key, None)  # a computed cell supersedes its failure
-        if row.artifact is not None and not isinstance(row.artifact, ArtifactRef):
-            ref = write_artifact(row.artifact, self.directory, _artifact_stem(key))
-            self.artifacts_written += 1
-            self.bytes_written += ref.nbytes
-            stored = row if keep_in_memory else row.with_artifact(ref)
-            self._records[key] = self._record(key, row.with_artifact(ref))
-        else:
-            self._records[key] = self._record(key, row)
-        self._write_manifest(status="partial")
-        return stored
+        stored = persist_row(self.directory, key, row)
+        record = manifest_record(key, stored)
+        self.absorb_record(record)
+        self._append({"rows": [record]})
+        return row if keep_in_memory else stored
 
     def add_failure(self, failure: CellFailure) -> None:
-        """Record one permanently failed cell in the manifest as it happens.
+        """Journal one permanently failed cell as it happens.
 
-        Like :meth:`add`, the manifest is rewritten immediately, so a run
-        killed after the failure still carries the record — a resumed run
-        replays it instead of blindly recomputing a cell that may hang again.
+        A run killed after the failure therefore still carries the record —
+        a resumed run replays it instead of blindly recomputing a cell that
+        may hang again.
         """
-        self._failures[failure.key] = failure.to_dict()
-        self._records.pop(failure.key, None)
-        self._write_manifest(status="partial")
+        record = failure.to_dict()
+        self.absorb_failure_record(record)
+        self._append({"failures": [record]})
 
     def absorb_record(self, record: dict) -> None:
-        """Merge one pre-serialised row record without rewriting the manifest.
+        """Merge one pre-serialised row record without writing anything.
 
-        The fleet merge path: workers persist :func:`manifest_record`
-        documents (artifact refs included — the side-files are already on
-        disk) into per-unit result shards, and the merging process absorbs
-        every shard here before one :meth:`write_partial` /
-        :meth:`finalize`.  A computed cell supersedes any failure record of
-        the same key, exactly like :meth:`add`.
+        The one way rows enter the writer: :meth:`add` journals the record
+        it absorbs, and the fleet supervisor absorbs every committed result
+        shard (artifact side-files already on disk) before one
+        :meth:`write_partial` / :meth:`finalize`.
         """
-        key = record["key"]
-        self._failures.pop(key, None)
-        self._records[key] = dict(record)
-
-    def absorb_failure_record(self, record: dict) -> None:
-        """Merge one pre-serialised failure record (fleet merge path).
-
-        A completed row of the same key wins — a unit that failed on one
-        worker but was later computed by another is not a failure.
-        """
-        key = record["key"]
-        if key not in self._records:
-            self._failures[key] = dict(record)
+        super().absorb_record(record)
+        if record.get("artifact") is not None:
+            self.artifacts_written += 1
+            self.bytes_written += int(record["artifact"]["bytes"])
 
     def write_partial(self, elapsed_seconds: float = 0.0) -> Path:
         """Persist the current state with ``status: "partial"`` (resumable).
 
-        The graceful-shutdown path of the fleet supervisor: on SIGINT /
-        SIGTERM it absorbs every committed shard and writes one resumable
-        partial manifest before releasing the campaign's leases and exiting.
+        The exception path of both backends: the runner calls it when an
+        exception leaves its streaming loop, and the fleet supervisor on
+        SIGINT / SIGTERM, after absorbing every committed shard and before
+        releasing the campaign's leases.
         """
         self._write_manifest(status="partial", elapsed_seconds=elapsed_seconds)
         return self.directory
-
-    @property
-    def failures(self) -> tuple[CellFailure, ...]:
-        """The failure records currently in the manifest."""
-        return tuple(CellFailure.from_dict(record) for record in self._failures.values())
 
     def finalize(self, elapsed_seconds: float) -> Path:
         # Canonical row order on the final document: the spec's grid order,
@@ -869,17 +936,18 @@ class CacheWriter:
         # :func:`manifest_fingerprint` hashes over.
         order = {cell.key: index for index, cell in enumerate(self.spec.cells())}
         fallback = len(order)
-        self._records = dict(
-            sorted(self._records.items(), key=lambda kv: (order.get(kv[0], fallback), kv[0]))
+        self.records = dict(
+            sorted(self.records.items(), key=lambda kv: (order.get(kv[0], fallback), kv[0]))
         )
-        self._failures = dict(
-            sorted(self._failures.items(), key=lambda kv: (order.get(kv[0], fallback), kv[0]))
+        self.failures = dict(
+            sorted(self.failures.items(), key=lambda kv: (order.get(kv[0], fallback), kv[0]))
         )
         self._write_manifest(status="complete", elapsed_seconds=elapsed_seconds)
         return self.directory
 
-    def _record(self, key: str, row: CellResult) -> dict:
-        return manifest_record(key, row)
+    def _append(self, entry: dict) -> None:
+        with open(self.directory / _JOURNAL, "a", encoding="utf-8") as journal:
+            journal.write(json.dumps(entry, sort_keys=True) + "\n")
 
     def _write_manifest(self, status: str, elapsed_seconds: float = 0.0) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -891,14 +959,12 @@ class CacheWriter:
             "code_fingerprint": source_fingerprint(),
             "status": status,
             "elapsed_seconds": elapsed_seconds,
-            "rows": list(self._records.values()),
-            "failures": list(self._failures.values()),
+            "rows": list(self.records.values()),
+            "failures": list(self.failures.values()),
         }
-        # The manifest is rewritten after every cell (that is what makes a
-        # kill recoverable), so the streaming rewrites stay compact; only the
-        # final document is pretty-printed for human readers.
-        if status == "complete":
-            text = json.dumps(manifest, indent=2, sort_keys=True)
-        else:
-            text = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-        _atomic_write_text(self.directory / _MANIFEST, text)
+        # Only the final document is pretty-printed, for human readers.
+        _write_json_atomic(
+            self.directory / _MANIFEST, manifest, indent=2 if status == "complete" else None
+        )
+        # The manifest now holds everything the journal did.
+        (self.directory / _JOURNAL).unlink(missing_ok=True)

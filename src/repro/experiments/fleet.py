@@ -41,17 +41,23 @@ queue:
   ``max_attempts``, after which a typed per-cell failure record lands in
   ``failed/`` — PR 7's retry semantics, re-expressed as files.
 
-Work units are the runner's existing content-addressed shapes (single cells,
-or every pending replication of a simulation grid point), and cell
+Work units are the runner's content-addressed shapes
+(:func:`~repro.experiments.runner.build_units`: single cells, or every
+pending replication of a simulation grid point), and cell
 seeds derive from the spec — never from attempt count, owner or wall clock —
 so a SIGKILLed worker loses nothing but its in-flight attempt, and the fleet
 converges on a manifest whose :func:`~repro.experiments.cache.manifest_fingerprint`
 is identical to a serial run's.
 
-The **supervisor** (:func:`run_fleet_campaign`) mirrors the pool runner's
-cache semantics (load → resume → pending → execute → finalize): it builds the
-campaign, spawns the local workers, reaps and respawns, and merges committed
-shards into the manifest through :class:`~repro.experiments.cache.CacheWriter`.
+The **supervisor** (:func:`run_fleet_campaign`) shares the pool runner's
+cache semantics (load → resume → pending → execute → finalize) through the
+runner's one copy of each step: the resume plan
+(:func:`~repro.experiments.runner.resume_plan`, also behind
+:func:`submit_campaign` and :func:`fetch_campaign`), the work units and
+their executor, and the result assembly.  It builds the campaign, spawns the
+local workers, reaps and respawns, and merges committed shards into the
+manifest through :meth:`~repro.experiments.cache.CacheWriter.absorb_record`
+— the same entry the pool's journaled rows take.
 On SIGINT/SIGTERM it drains gracefully: workers are asked to finish their
 current unit, committed shards are merged into a resumable
 ``status: "partial"`` manifest, every lease is released, and
@@ -70,13 +76,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -84,8 +89,10 @@ from repro.experiments.cache import (
     CacheWriter,
     FLEET_DIRNAME,
     ResultCache,
-    _artifact_stem,
+    _write_json_atomic,
     manifest_record,
+    persist_row,
+    rows_from_records,
     source_fingerprint,
 )
 from repro.experiments.faults import (
@@ -94,23 +101,24 @@ from repro.experiments.faults import (
     active_directives,
     matching_directive,
 )
-from repro.experiments.results import ArtifactRef, CellFailure, CellResult, write_artifact
+from repro.experiments.results import CellFailure
 from repro.experiments.results.schema import ExperimentResult
-from repro.experiments.solvers import (
-    execute_cell,
-    execute_simulation_group,
-    simulation_batch_groups,
-    warm_shared_inputs,
+from repro.experiments.runner import (
+    ResumePlan,
+    WorkUnit,
+    build_units,
+    execute_unit,
+    finish_run,
+    resume_plan,
 )
-from repro.experiments.spec import Cell, ScenarioSpec
-from repro.experiments.supervision import FailureBudgetExceeded
+from repro.experiments.solvers import warm_shared_inputs
+from repro.experiments.spec import ScenarioSpec
+from repro.experiments.supervision import FailureBudgetExceeded, fork_context
 
 __all__ = [
     "CampaignInterrupted",
     "FleetPolicy",
     "FleetQueue",
-    "WorkUnit",
-    "build_units",
     "campaign_status",
     "fetch_campaign",
     "fleet_worker",
@@ -201,89 +209,16 @@ class FleetPolicy:
         return self.heartbeat_interval or self.lease_timeout / 4.0
 
     def to_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "lease_timeout": self.lease_timeout,
-            "heartbeat_interval": self.heartbeat_interval,
-            "max_attempts": self.max_attempts,
-            "max_failures": self.max_failures,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "poll_interval": self.poll_interval,
-            "drain_grace": self.drain_grace,
-            "max_respawns": self.max_respawns,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FleetPolicy":
         return cls(**payload)
 
 
-@dataclass(frozen=True)
-class WorkUnit:
-    """One claimable unit: a single cell or a simulation replication group.
-
-    The id is content-addressed (a digest of the covered cell keys), so the
-    same pending set always yields the same queue files — a resumed campaign
-    recognises the previous campaign's commits.
-    """
-
-    id: str
-    kind: str  # "cell" | "group"
-    cells: tuple[Cell, ...]
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        return tuple(cell.key for cell in self.cells)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind,
-            "cells": [cell.to_dict() for cell in self.cells],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WorkUnit":
-        return cls(
-            id=payload["id"],
-            kind=payload["kind"],
-            cells=tuple(Cell.from_dict(d) for d in payload["cells"]),
-        )
-
-
-def _unit_id(keys: tuple[str, ...]) -> str:
-    return "u" + hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:16]
-
-
-def build_units(spec: ScenarioSpec, pending: list[Cell]) -> list[WorkUnit]:
-    """Decompose pending cells into claimable units.
-
-    Uses the runner's existing shapes: every pending replication of a
-    simulation grid point is one unit (one replication-set call), everything
-    else is a unit per cell.  A seed's result does not depend on its set, so
-    resumed campaigns (whose groups hold only the replications a previous
-    run did not finish) reproduce the original rows bit-identically.
-    """
-    groups, singles = simulation_batch_groups(spec, pending)
-    units = []
-    for group in groups:
-        keys = tuple(cell.key for cell in group)
-        units.append(WorkUnit(id=_unit_id(keys), kind="group", cells=tuple(group)))
-    for cell in singles:
-        units.append(WorkUnit(id=_unit_id((cell.key,)), kind="cell", cells=(cell,)))
-    return units
-
-
 # ----------------------------------------------------------------------
 # Low-level file helpers
 # ----------------------------------------------------------------------
-def _write_json_atomic(path: Path, payload: dict | list) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
-
-
 def _create_exclusive(path: Path, payload: dict) -> bool:
     """Create ``path`` with ``O_EXCL`` and fsync it; False if it exists."""
     try:
@@ -790,9 +725,6 @@ class FleetQueue:
         except OSError:
             pass
 
-    def remove_worker(self, owner: str) -> None:
-        (self.workers / f"{owner}.json").unlink(missing_ok=True)
-
     def worker_states(self) -> list[dict]:
         if not self.workers.is_dir():
             return []
@@ -843,26 +775,6 @@ class FleetQueue:
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-def _execute_unit(spec: ScenarioSpec, unit: WorkUnit) -> list[tuple[str, CellResult]]:
-    if unit.kind == "group":
-        return execute_simulation_group(spec, list(unit.cells))
-    cell = unit.cells[0]
-    return [(cell.key, execute_cell(spec, cell))]
-
-
-def _persist_records(
-    entry_dir: Path, rows: list[tuple[str, CellResult]]
-) -> list[dict]:
-    """Write artifact side-files into the run directory; return row records."""
-    records = []
-    for key, row in rows:
-        if row.artifact is not None and not isinstance(row.artifact, ArtifactRef):
-            ref = write_artifact(row.artifact, entry_dir, _artifact_stem(key))
-            row = row.with_artifact(ref)
-        records.append(manifest_record(key, row))
-    return records
-
-
 class _Heartbeat:
     """Background lease refresher; ``fenced`` is set when ownership is lost."""
 
@@ -947,8 +859,10 @@ def fleet_worker(
                     raise InjectedFault(
                         f"injected error for {unit.keys[0]!r} (attempt {attempt})"
                     )
-                rows = _execute_unit(spec, unit)
-                records = _persist_records(queue.entry_dir, rows)
+                records = [
+                    manifest_record(key, persist_row(queue.entry_dir, key, row))
+                    for key, row in execute_unit(spec, unit)
+                ]
             except InjectedFault as error:
                 if heartbeat is not None:
                     heartbeat.stop()
@@ -1016,17 +930,9 @@ def _worker_entry(entry_dir: str, spec_dict: dict, owner: str) -> None:
 # ----------------------------------------------------------------------
 # Supervisor
 # ----------------------------------------------------------------------
-def _fork_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _merge_into_writer(
-    writer: CacheWriter, queue: FleetQueue
-) -> tuple[list[dict], list[dict]]:
-    """Absorb every committed shard and failure record; returns both lists."""
+def _merge_into_writer(writer: CacheWriter, queue: FleetQueue) -> list[dict]:
+    """Absorb every committed shard and failure record; returns the shards' rows."""
     computed: list[dict] = []
-    failed: list[dict] = []
     for _unit, records in queue.committed_records():
         for record in records:
             writer.absorb_record(record)
@@ -1034,18 +940,7 @@ def _merge_into_writer(
     for _unit, records in queue.failure_records():
         for record in records:
             writer.absorb_failure_record(record)
-            failed.append(record)
-    return computed, failed
-
-
-def _rows_from_records(entry_dir: Path, records: list[dict]) -> dict[str, CellResult]:
-    rows: dict[str, CellResult] = {}
-    for record in records:
-        row = CellResult.from_dict(record)
-        if record.get("artifact") is not None:
-            row = row.with_artifact(ArtifactRef.from_dict(record["artifact"], entry_dir))
-        rows[record["key"]] = row
-    return rows
+    return computed
 
 
 def run_fleet_campaign(
@@ -1067,41 +962,23 @@ def run_fleet_campaign(
         cached = cache.load(spec)
         if cached is not None:
             return cached
-
-    cells = spec.cells()
-    keys = {cell.key for cell in cells}
-    resumed: dict[str, CellResult] = {}
-    replayed: tuple[CellFailure, ...] = ()
-    if not force:
-        state = cache.load_resume_state(spec)
-        if state is not None:
-            resumed = {key: row for key, row in state.rows.items() if key in keys}
-            recorded = tuple(f for f in state.failures if f.key in keys)
-            if recorded and state.status == "partial":
-                replayed = recorded
-    replayed_keys = {failure.key for failure in replayed}
-    pending = [
-        cell for cell in cells
-        if cell.key not in resumed and cell.key not in replayed_keys
-    ]
-
+    plan = resume_plan(cache, spec, force)
     started = time.perf_counter()
-    writer = cache.writer(spec, resumed=resumed, failures=replayed)
+    writer = cache.writer(spec, resumed=plan.resumed, failures=plan.replayed)
     queue = FleetQueue(cache.path(spec))
-    units = build_units(spec, pending)
+    units = build_units(spec, plan.pending)
     queue.create_campaign(spec, units, policy, reset=force)
 
     if not units:
-        computed, failed = _merge_into_writer(writer, queue)
-        return _finalize(cache, spec, writer, queue, resumed, replayed,
-                         computed, started, policy)
+        return _finalize(spec, plan, writer, queue, started, policy)
 
     # Forked workers inherit the warmed shared inputs instead of recomputing
     # them once per process.
-    singles = [cell for unit in units if unit.kind == "cell" for cell in unit.cells]
-    warm_shared_inputs(spec, singles)
+    warm_shared_inputs(
+        spec, [cell for unit in units if unit.kind == "cell" for cell in unit.cells]
+    )
 
-    context = _fork_context()
+    context = fork_context()
     spec_dict = spec.to_dict()
     interrupted: list[int] = []
 
@@ -1193,9 +1070,7 @@ def run_fleet_campaign(
                 process.kill()
                 process.join(timeout=1.0)
 
-    computed, _failed = _merge_into_writer(writer, queue)
-    return _finalize(cache, spec, writer, queue, resumed, replayed,
-                     computed, started, policy)
+    return _finalize(spec, plan, writer, queue, started, policy)
 
 
 def _drain(processes, queue: FleetQueue, writer: CacheWriter,
@@ -1218,50 +1093,20 @@ def _drain(processes, queue: FleetQueue, writer: CacheWriter,
     logger.info(
         "fleet: drained — partial manifest written (%d row(s), %d failure "
         "record(s)), %d lease(s) released",
-        len(writer._records), len(writer._failures), released,
+        len(writer.records), len(writer.failures), released,
     )
 
 
-def _finalize(cache, spec, writer, queue, resumed, replayed, computed,
-              started, policy) -> ExperimentResult:
-    elapsed = time.perf_counter() - started
-    cells = spec.cells()
-    rows_by_key = dict(resumed)
-    rows_by_key.update(_rows_from_records(cache.path(spec), computed))
-    failures_by_key = {failure.key: failure for failure in replayed}
-    for _unit, records in queue.failure_records():
-        for record in records:
-            if record.get("key") not in rows_by_key:
-                failures_by_key[record["key"]] = CellFailure.from_dict(record)
-    failures = tuple(
-        failures_by_key[cell.key] for cell in cells if cell.key in failures_by_key
+def _finalize(spec: ScenarioSpec, plan: ResumePlan, writer: CacheWriter,
+              queue: FleetQueue, started: float, policy: FleetPolicy) -> ExperimentResult:
+    """Merge every settled unit and finish the run like the pool does."""
+    computed = _merge_into_writer(writer, queue)
+    failures = {key: CellFailure.from_dict(r) for key, r in writer.failures.items()}
+    return finish_run(
+        spec, plan, writer, rows_from_records(writer.directory, computed), failures,
+        time.perf_counter() - started, cells_retried=queue.retried_cells(),
+        backend="fleet", workers=policy.workers,
     )
-    artifacts = [
-        record for record in computed if record.get("artifact") is not None
-    ]
-    result = ExperimentResult(
-        name=spec.name,
-        spec=spec.to_dict(),
-        spec_hash=spec.hash(),
-        rows=tuple(rows_by_key[c.key] for c in cells if c.key in rows_by_key),
-        elapsed_seconds=elapsed,
-        meta={
-            "cells_total": len(cells),
-            "cells_computed": len(computed),
-            "cells_from_cache": len(resumed),
-            "cells_failed": len(failures),
-            "cells_retried": queue.retried_cells(),
-            "artifacts_written": len(artifacts),
-            "artifact_bytes_written": sum(
-                int(r["artifact"].get("nbytes", 0)) for r in artifacts
-            ),
-            "backend": "fleet",
-            "workers": policy.workers,
-        },
-        failures=failures,
-    )
-    writer.finalize(elapsed)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -1285,22 +1130,7 @@ def submit_campaign(
         return {"entry": str(cache.path(spec)), "units": 0, "done": 0,
                 "failed": 0, "leased": 0, "pending": 0, "settled": True,
                 "complete": True}
-    cells = spec.cells()
-    keys = {cell.key for cell in cells}
-    resumed: dict[str, CellResult] = {}
-    replayed_keys: set[str] = set()
-    if not force:
-        state = cache.load_resume_state(spec)
-        if state is not None:
-            resumed = {key: row for key, row in state.rows.items() if key in keys}
-            if state.status == "partial":
-                replayed_keys = {
-                    f.key for f in state.failures if f.key in keys
-                }
-    pending = [
-        cell for cell in cells
-        if cell.key not in resumed and cell.key not in replayed_keys
-    ]
+    pending = resume_plan(cache, spec, force).pending
     queue = FleetQueue(cache.path(spec))
     queue.create_campaign(spec, build_units(spec, pending), policy, reset=force)
     status = queue.status()
@@ -1334,22 +1164,11 @@ def fetch_campaign(
     queue = FleetQueue(cache.path(spec))
     if not queue.exists() or not queue.load_campaign():
         raise FileNotFoundError(f"no fleet campaign at {queue.campaign_path}")
-    policy = queue.policy
-    cells = spec.cells()
-    keys = {cell.key for cell in cells}
-    resumed: dict[str, CellResult] = {}
-    replayed: tuple[CellFailure, ...] = ()
-    state = cache.load_resume_state(spec)
-    if state is not None:
-        resumed = {key: row for key, row in state.rows.items() if key in keys}
-        if state.status == "partial":
-            replayed = tuple(f for f in state.failures if f.key in keys)
-    writer = cache.writer(spec, resumed=resumed, failures=replayed)
+    plan = resume_plan(cache, spec)
+    writer = cache.writer(spec, resumed=plan.resumed, failures=plan.replayed)
     started = time.perf_counter()
-    computed, _failed = _merge_into_writer(writer, queue)
     if not queue.settled():
+        _merge_into_writer(writer, queue)
         writer.write_partial()
         return "in-progress", None
-    result = _finalize(cache, spec, writer, queue, resumed, replayed,
-                       computed, started, policy)
-    return "complete", result
+    return "complete", _finalize(spec, plan, writer, queue, started, queue.policy)

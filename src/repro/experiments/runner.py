@@ -28,11 +28,13 @@ stay unsupervised — exceptions propagate directly — unless a
 :class:`SupervisionPolicy` is configured or fault injection
 (``REPRO_FAULT_INJECT``) is active.
 
-With a cache directory configured, every completed cell is written to the
+With a cache directory configured, every completed cell is journaled in the
 run directory *as it arrives* (artifact side-files included, see
-:mod:`repro.experiments.cache`), so a killed run leaves a valid partial
-entry; the next run of the same spec resumes from it, re-executing only the
-missing cells, and produces results bit-identical to an uninterrupted run.
+:mod:`repro.experiments.cache`), and an exception leaving the run writes one
+partial manifest before it propagates, so a killed run leaves a valid
+partial entry; the next run of the same spec resumes from it, re-executing
+only the missing cells, and produces results bit-identical to an
+uninterrupted run.
 Failure records resume too: a run killed *after* some cells burned their
 retry budget replays those failures from the manifest instead of recomputing
 cells that may hang or crash again, while a run whose previous pass
@@ -53,17 +55,22 @@ the crash-tolerant distributed work queue of :mod:`repro.experiments.fleet`
 of workers *and* supervisor.  The fleet backend requires a cache directory
 (the queue lives inside the run directory) and produces manifests whose
 :func:`~repro.experiments.cache.manifest_fingerprint` is identical to a
-serial pool run's.
+serial pool run's.  Both backends share one copy of each step, defined
+here: the resume plan (:func:`resume_plan` — cells, resumed rows, replayed
+failures, pending cells), the work units (:func:`build_units`) and their
+executor (:func:`execute_unit`), and the result assembly
+(:func:`finish_run`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import hashlib
 import os
 import time
+from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import CacheWriter, ResultCache
 from repro.experiments.faults import FAULT_ENV
 from repro.experiments.results import CellFailure, CellResult, ExperimentResult
 from repro.experiments.solvers import (
@@ -80,7 +87,18 @@ from repro.experiments.supervision import (
     run_supervised,
 )
 
-__all__ = ["EXECUTION_BACKENDS", "ExperimentRunner", "FailureBudgetExceeded", "run_scenario"]
+__all__ = [
+    "EXECUTION_BACKENDS",
+    "ExperimentRunner",
+    "FailureBudgetExceeded",
+    "ResumePlan",
+    "WorkUnit",
+    "build_units",
+    "execute_unit",
+    "finish_run",
+    "resume_plan",
+    "run_scenario",
+]
 
 _MAX_DEFAULT_JOBS = 8
 
@@ -88,23 +106,164 @@ _MAX_DEFAULT_JOBS = 8
 EXECUTION_BACKENDS = ("pool", "fleet")
 
 
-def _execute_payload(payload) -> list[tuple[str, CellResult]]:
-    """Worker entry point; reconstructs the spec and cell(s) from plain dicts.
+@dataclass(frozen=True)
+class ResumePlan:
+    """What a run of one spec still has to do, given its cache entry.
 
-    A payload is one work unit: either a single cell (``"cell"``) or every
-    pending replication of one simulation grid point (``"group"``), which
-    runs as one replication set.
+    ``resumed`` holds the verified rows the entry already has, ``replayed``
+    the failures a killed run recorded (they are carried over, not
+    recomputed), and ``pending`` every other cell, in grid order.
     """
-    kind, spec_dict, body, keep_artifacts = payload
-    spec = ScenarioSpec.from_dict(spec_dict)
-    if kind == "group":
-        rows = execute_simulation_group(spec, [Cell.from_dict(d) for d in body])
-    else:
-        cell = Cell.from_dict(body)
-        rows = [(cell.key, execute_cell(spec, cell))]
-    return [
-        (key, row if keep_artifacts else row.without_artifact()) for key, row in rows
-    ]
+
+    cells: list[Cell]
+    resumed: dict[str, CellResult]
+    replayed: tuple[CellFailure, ...]
+    pending: list[Cell]
+
+
+def resume_plan(
+    cache: ResultCache | None, spec: ScenarioSpec, force: bool = False
+) -> ResumePlan:
+    """The resume plan of ``spec``: everything is pending without a cache,
+    with ``force`` or without a usable entry."""
+    cells = spec.cells()
+    state = None if cache is None or force else cache.load_resume_state(spec)
+    resumed: dict[str, CellResult] = {}
+    replayed: tuple[CellFailure, ...] = ()
+    if state is not None:
+        keys = {cell.key for cell in cells}
+        resumed = {key: row for key, row in state.rows.items() if key in keys}
+        if state.status == "partial":
+            # The writing run was killed *after* these cells burned their
+            # retry budget: replay the records instead of recomputing cells
+            # that may well hang or crash again.  A run that *finished* with
+            # failures is retried instead: its failed cells stay pending.
+            replayed = tuple(f for f in state.failures if f.key in keys)
+    settled = set(resumed) | {failure.key for failure in replayed}
+    pending = [cell for cell in cells if cell.key not in settled]
+    return ResumePlan(cells, resumed, replayed, pending)
+
+
+def finish_run(
+    spec: ScenarioSpec,
+    plan: ResumePlan,
+    writer: CacheWriter | None,
+    computed: dict[str, CellResult],
+    failures: dict[str, CellFailure],
+    elapsed: float,
+    cells_retried: int,
+    **meta: Any,
+) -> ExperimentResult:
+    """Assemble the run's :class:`ExperimentResult` and finalize its manifest.
+
+    Rows and failures come back in grid order; a computed row supersedes a
+    failure of the same key.  ``meta`` adds backend-specific entries.
+    """
+    rows_by_key = {**plan.resumed, **computed}
+    failures_by_key = {failure.key: failure for failure in plan.replayed}
+    failures_by_key.update(failures)
+    settled_failures = tuple(
+        failures_by_key[cell.key] for cell in plan.cells
+        if cell.key in failures_by_key and cell.key not in rows_by_key
+    )
+    result = ExperimentResult(
+        name=spec.name,
+        spec=spec.to_dict(),
+        spec_hash=spec.hash(),
+        rows=tuple(rows_by_key[c.key] for c in plan.cells if c.key in rows_by_key),
+        elapsed_seconds=elapsed,
+        meta={
+            "cells_total": len(plan.cells),
+            "cells_computed": len(computed),
+            "cells_from_cache": len(plan.resumed),
+            "cells_failed": len(settled_failures),
+            "cells_retried": cells_retried,
+            "artifacts_written": writer.artifacts_written if writer else 0,
+            "artifact_bytes_written": writer.bytes_written if writer else 0,
+            **meta,
+        },
+        failures=settled_failures,
+    )
+    if writer is not None:
+        writer.finalize(elapsed)
+    return result
+
+
+@dataclass(frozen=True)
+class WorkUnit:
+    """One work unit: a single cell or a simulation replication group.
+
+    The id is content-addressed (a digest of the covered cell keys), so the
+    same pending set always yields the same fleet queue files — a resumed
+    campaign recognises the previous campaign's commits.
+    """
+
+    id: str
+    kind: str  # "cell" | "group"
+    cells: tuple[Cell, ...]
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return tuple(cell.key for cell in self.cells)
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "kind": self.kind,
+            "cells": [cell.to_dict() for cell in self.cells],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "WorkUnit":
+        return cls(
+            id=payload["id"],
+            kind=payload["kind"],
+            cells=tuple(Cell.from_dict(d) for d in payload["cells"]),
+        )
+
+
+def _unit_id(keys: tuple[str, ...]) -> str:
+    return "u" + hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()[:16]
+
+
+def build_units(spec: ScenarioSpec, pending: list[Cell]) -> list[WorkUnit]:
+    """Decompose pending cells into work units.
+
+    Every pending replication of a simulation grid point is one unit (one
+    replication-set call), everything else is a unit per cell.  A seed's
+    result does not depend on its set, so resumed runs (whose groups hold
+    only the replications a previous run did not finish) reproduce the
+    original rows bit-identically.
+    """
+    groups, singles = simulation_batch_groups(spec, pending)
+    units = []
+    for group in groups:
+        keys = tuple(cell.key for cell in group)
+        units.append(WorkUnit(id=_unit_id(keys), kind="group", cells=tuple(group)))
+    for cell in singles:
+        units.append(WorkUnit(id=_unit_id((cell.key,)), kind="cell", cells=(cell,)))
+    return units
+
+
+def execute_unit(spec: ScenarioSpec, unit: WorkUnit) -> list[tuple[str, CellResult]]:
+    """Compute one work unit's rows, keyed by cell key (every backend)."""
+    if unit.kind == "group":
+        return execute_simulation_group(spec, list(unit.cells))
+    cell = unit.cells[0]
+    return [(cell.key, execute_cell(spec, cell))]
+
+
+def _execute_payload(payload) -> list[tuple[str, CellResult]]:
+    """Pool worker entry point; reconstructs the spec and unit from plain dicts."""
+    spec_dict, unit_dict, keep_artifacts = payload
+    rows = execute_unit(ScenarioSpec.from_dict(spec_dict), WorkUnit.from_dict(unit_dict))
+    return _strip(rows, keep_artifacts)
+
+
+def _strip(rows: list[tuple[str, CellResult]], keep_artifacts: bool):
+    if keep_artifacts:
+        return rows
+    return [(key, row.without_artifact()) for key, row in rows]
 
 
 class ExperimentRunner:
@@ -180,91 +339,45 @@ class ExperimentRunner:
         """
         if self.backend == "fleet":
             return self._run_fleet(spec, force)
-        use_cache = self.cache is not None
-        if use_cache and not force:
+        if self.cache is not None and not force:
             cached = self.cache.load(spec)
             if cached is not None:
                 return cached
-
-        cells = spec.cells()
-        keys = {cell.key for cell in cells}
-        resumed: dict[str, CellResult] = {}
-        replayed: tuple[CellFailure, ...] = ()
-        if use_cache and not force:
-            state = self.cache.load_resume_state(spec)
-            if state is not None:
-                resumed = {key: row for key, row in state.rows.items() if key in keys}
-                recorded = tuple(f for f in state.failures if f.key in keys)
-                if recorded and state.status == "partial":
-                    # The writing run was killed *after* these cells burned
-                    # their retry budget: replay the records instead of
-                    # recomputing cells that may well hang or crash again.
-                    # A run that *finished* with failures is retried instead:
-                    # its failed cells stay pending below.
-                    replayed = recorded
-        replayed_keys = {failure.key for failure in replayed}
-        pending = [
-            cell for cell in cells
-            if cell.key not in resumed and cell.key not in replayed_keys
-        ]
-
+        plan = resume_plan(self.cache, spec, force)
         started = time.perf_counter()
         writer = (
-            self.cache.writer(spec, resumed=resumed, failures=replayed)
-            if use_cache else None
+            self.cache.writer(spec, resumed=plan.resumed, failures=plan.replayed)
+            if self.cache is not None else None
         )
-        rows_by_key = dict(resumed)
-        failures_by_key = {failure.key: failure for failure in replayed}
+        computed: dict[str, CellResult] = {}
+        failures: dict[str, CellFailure] = {}
         retried = 0
-        # On FailureBudgetExceeded the writer is deliberately NOT finalized:
-        # the entry stays "partial" with every completed row and failure
-        # record already persisted by the streaming writes below.
-        for event, body in self._stream(spec, pending):
-            if event == "rows":
-                for key, row in body:
-                    if writer is not None:
-                        row = writer.add(key, row, keep_in_memory=self.keep_artifacts)
-                    rows_by_key[key] = row
-                    failures_by_key.pop(key, None)
-            elif event == "retry":
-                retried += len(body)
-            else:  # "failures"
-                for failure in body:
-                    failures_by_key[failure.key] = failure
-                    if writer is not None:
-                        writer.add_failure(failure)
-        elapsed = time.perf_counter() - started
-
-        failures = tuple(
-            failures_by_key[cell.key] for cell in cells if cell.key in failures_by_key
-        )
-        result = ExperimentResult(
-            name=spec.name,
-            spec=spec.to_dict(),
-            spec_hash=spec.hash(),
-            rows=tuple(
-                rows_by_key[cell.key] for cell in cells if cell.key in rows_by_key
-            ),
-            elapsed_seconds=elapsed,
-            meta={
-                "cells_total": len(cells),
-                "cells_computed": len(rows_by_key) - len(resumed),
-                "cells_from_cache": len(resumed),
-                "cells_failed": len(failures),
-                "cells_retried": retried,
-                "artifacts_written": writer.artifacts_written if writer else 0,
-                "artifact_bytes_written": writer.bytes_written if writer else 0,
-            },
-            failures=failures,
-        )
-        if writer is not None:
-            writer.finalize(elapsed)
-        return result
+        try:
+            for event, body in self._stream(spec, plan.pending):
+                if event == "rows":
+                    for key, row in body:
+                        if writer is not None:
+                            row = writer.add(key, row, keep_in_memory=self.keep_artifacts)
+                        computed[key] = row
+                elif event == "retry":
+                    retried += len(body)
+                else:  # "failures"
+                    for failure in body:
+                        failures[failure.key] = failure
+                        if writer is not None:
+                            writer.add_failure(failure)
+        except BaseException:
+            # KeyboardInterrupt, FailureBudgetExceeded, ...: leave one
+            # resumable partial manifest holding everything journaled so far.
+            if writer is not None:
+                writer.write_partial(time.perf_counter() - started)
+            raise
+        return finish_run(spec, plan, writer, computed, failures,
+                          time.perf_counter() - started, cells_retried=retried)
 
     # ------------------------------------------------------------------
     def _run_fleet(self, spec: ScenarioSpec, force: bool) -> ExperimentResult:
-        # Imported lazily: fleet pulls in this module's solver imports via
-        # its own path, and most runs never need the distributed machinery.
+        # Imported lazily: the fleet module builds on this one.
         from repro.experiments.fleet import FleetPolicy, run_fleet_campaign
 
         policy = self.fleet
@@ -291,65 +404,49 @@ class ExperimentRunner:
         ``("retry", keys)``, ``("failures", [CellFailure, ...])``.  The
         unsupervised serial path only ever emits ``rows``.
         """
-        if not cells:
-            return
         # Persisting artifacts requires them to survive the worker boundary;
         # without a cache, stripping them early keeps serial runs lean.
         keep = self.keep_artifacts or self.cache is not None
         # Whole replication sets of simulation grid points are one work unit
         # each — one task instead of R.
-        groups, singles = simulation_batch_groups(spec, cells)
-        jobs = self._effective_jobs(len(groups) + len(singles))
+        units = build_units(spec, cells)
+        if not units:
+            return
+        jobs = self._effective_jobs(len(units))
         supervised = (
             self.supervision is not None
             or bool(os.environ.get(FAULT_ENV))
             or jobs > 1
         )
         if not supervised:
-            for group in groups:
-                rows = execute_simulation_group(spec, group)
-                yield "rows", [
-                    (key, row if keep else row.without_artifact()) for key, row in rows
-                ]
-            for cell in singles:
-                row = execute_cell(spec, cell)
-                yield "rows", [(cell.key, row if keep else row.without_artifact())]
+            for unit in units:
+                yield "rows", _strip(execute_unit(spec, unit), keep)
             return
         # Build the expensive shared inputs once here; forked workers inherit
         # the warmed caches instead of recomputing them per process.
-        warm_shared_inputs(spec, singles)
+        warm_shared_inputs(
+            spec, [cell for unit in units if unit.kind == "cell" for cell in unit.cells]
+        )
         spec_dict = spec.to_dict()
-        tasks = []
-        for group in groups:
-            tasks.append(SupervisedTask(
-                payload=("group", spec_dict, [cell.to_dict() for cell in group], keep),
-                keys=tuple(cell.key for cell in group),
+        tasks = [
+            SupervisedTask(
+                payload=(spec_dict, unit.to_dict(), keep),
+                keys=unit.keys,
                 cells=tuple(
                     (cell.key, cell.solver_label, cell.seed, cell.replication)
-                    for cell in group
+                    for cell in unit.cells
                 ),
-            ))
-        for cell in singles:
-            tasks.append(SupervisedTask(
-                payload=("cell", spec_dict, cell.to_dict(), keep),
-                keys=(cell.key,),
-                cells=((cell.key, cell.solver_label, cell.seed, cell.replication),),
-            ))
-        policy = self.supervision or SupervisionPolicy()
+            )
+            for unit in units
+        ]
         yield from run_supervised(
-            tasks, _execute_payload, policy, jobs, context=_pool_context()
+            tasks, _execute_payload, self.supervision or SupervisionPolicy(), jobs
         )
 
     def _effective_jobs(self, num_units: int) -> int:
         if self.jobs is not None:
             return min(self.jobs, num_units)
         return max(1, min(os.cpu_count() or 1, _MAX_DEFAULT_JOBS, num_units))
-
-
-def _pool_context():
-    """Prefer ``fork`` (cheap, inherits ``sys.path``) where available."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 def run_scenario(

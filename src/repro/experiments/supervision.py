@@ -48,6 +48,7 @@ __all__ = [
     "FailureBudgetExceeded",
     "SupervisedTask",
     "SupervisionPolicy",
+    "fork_context",
     "run_supervised",
 ]
 
@@ -150,6 +151,14 @@ def _child_main(conn, execute, payload, keys, attempt) -> None:
     conn.send(("rows", rows))
 
 
+def fork_context():
+    """Multiprocessing context of every worker the engine starts: ``fork``
+    where available (cheap, and children inherit ``sys.path`` and the
+    warmed shared inputs)."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
 @dataclass
 class _Running:
     task: SupervisedTask
@@ -166,7 +175,6 @@ def run_supervised(
     execute: Callable[[Any], list],
     policy: SupervisionPolicy,
     jobs: int,
-    context=None,
     validate_rows: Callable[[Any, SupervisedTask], bool] | None = None,
 ) -> Iterator[tuple[str, Any]]:
     """Execute tasks under supervision; yield events as units settle.
@@ -187,9 +195,7 @@ def run_supervised(
     """
     if validate_rows is None:
         validate_rows = _rows_valid
-    if context is None:
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else None)
+    context = fork_context()
     jobs = max(1, jobs)
     max_attempts = 1 + policy.retries
     # Jitter only spaces out retry launches; results never depend on it.

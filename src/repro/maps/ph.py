@@ -88,6 +88,8 @@ class PHDistribution:
             raise ValueError("diagonal entries of T must be non-positive")
         if np.any(T.sum(axis=1) > 1e-8):
             raise ValueError("row sums of T must be non-positive")
+        if np.linalg.matrix_rank(T) < T.shape[0]:
+            raise ValueError("T is singular: absorption is unreachable from some phase")
 
     # ------------------------------------------------------------------
     # Basic properties

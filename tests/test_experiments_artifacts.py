@@ -6,6 +6,8 @@ Covers the guarantees the run-directory cache makes:
 * manifest hash verification rejects tampered side-files,
 * a killed run resumes from its partial entry and produces results
   bit-identical to an uninterrupted cold run,
+* the journal of settled cells survives SIGKILL, torn lines and ``cache
+  gc``, is counted by ``cache ls`` and is gone once the run finalizes,
 * unreadable cache entries are logged misses, never exceptions,
 * entries written by the pre-artifact single-file format are still read,
 * ``ExperimentResult.meta`` accounts for cache hits and artifact bytes.
@@ -15,20 +17,30 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.experiments import (
+    FAULT_ENV,
     ArtifactIntegrityError,
     ExperimentRunner,
+    FailureBudgetExceeded,
     ReplicationPolicy,
     ScenarioSpec,
     SolverSpec,
+    SupervisionPolicy,
     TraceWorkload,
+    get_scenario,
     tpcw_sweep_scenario,
 )
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, manifest_fingerprint
 from repro.experiments.results import (
     ArtifactCodecError,
     JsonArtifactCodec,
@@ -277,7 +289,7 @@ class TestCacheRobustness:
         monkeypatch.setattr(cache_module, "source_fingerprint", lambda: "0ff0ba11dead")
         with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
             assert runner.cache.load(spec) is None
-            assert runner.cache.load_partial(spec) == {}
+            assert runner.cache.load_resume_state(spec) is None
         assert "different solver/simulator source state" in caplog.text
 
     def test_stale_code_fingerprint_forces_recompute(self, tmp_path, monkeypatch):
@@ -315,3 +327,134 @@ class TestCacheRobustness:
         with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
             assert runner.cache.load(spec) is None
         assert "does not match the requested spec hash" in caplog.text
+
+
+# ----------------------------------------------------------------------
+# Journal
+# ----------------------------------------------------------------------
+def journal_path(cache: ResultCache, spec: ScenarioSpec) -> Path:
+    return cache.path(spec) / "journal.jsonl"
+
+
+def partial_entry(tmp_path, spec: ScenarioSpec, count: int) -> ResultCache:
+    """A killed run's entry: ``count`` cells journaled, no manifest rewrite."""
+    rows = ExperimentRunner(jobs=1, keep_artifacts=True).run(spec).rows
+    cache = ResultCache(tmp_path)
+    writer = cache.writer(spec)
+    for cell, row in list(zip(spec.cells(), rows))[:count]:
+        writer.add(cell.key, row)
+    return cache
+
+
+class TestJournal:
+    def test_sigkilled_pool_run_resumes_from_the_journal(self, tmp_path):
+        import repro
+
+        spec = get_scenario("smoke")
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).parents[1]),
+            # One cell hangs forever, so the run is still going when killed.
+            REPRO_FAULT_INJECT="hang:mva/db_decay=0.5,db_scv=4.0,population=3",
+        )
+        cache_dir = tmp_path / "killed"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments", "run", "smoke",
+             "--jobs", "2", "--cache-dir", str(cache_dir)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        journal = journal_path(ResultCache(cache_dir), spec)
+        try:
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline and process.poll() is None:
+                if journal.exists() and len(journal.read_text().splitlines()) >= 3:
+                    break
+                time.sleep(0.05)
+            assert process.poll() is None, "the run ended before it could be killed"
+            assert len(journal.read_text().splitlines()) >= 3
+        finally:
+            os.killpg(process.pid, signal.SIGKILL)  # the run and its workers
+            process.wait()
+        manifest = json.loads(ResultCache(cache_dir).manifest_path(spec).read_text())
+        assert manifest["status"] == "partial"
+
+        resumed = ExperimentRunner(cache_dir=cache_dir, jobs=1).run(spec)
+        cached = resumed.meta["cells_from_cache"]
+        assert cached >= 3
+        assert resumed.meta["cells_computed"] == len(spec.cells()) - cached
+        ExperimentRunner(cache_dir=tmp_path / "clean", jobs=1).run(spec)
+        assert manifest_fingerprint(ResultCache(cache_dir).manifest_path(spec)) == (
+            manifest_fingerprint(ResultCache(tmp_path / "clean").manifest_path(spec))
+        )
+
+    def test_torn_last_line_is_skipped_and_recomputed(self, tmp_path, caplog):
+        spec = analytic_spec()
+        cache = partial_entry(tmp_path, spec, count=2)
+        journal = journal_path(cache, spec)
+        text = journal.read_text()
+        journal.write_text(text[:-20])  # a kill mid-append tears the last line
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.cache"):
+            resumed = ExperimentRunner(cache_dir=tmp_path, jobs=1).run(spec)
+        assert "skipping torn line 2" in caplog.text
+        assert resumed.meta["cells_from_cache"] == 1
+        assert resumed.meta["cells_computed"] == len(spec.cells()) - 1
+        clean = ExperimentRunner(jobs=1).run(spec)
+        assert rows_signature(resumed) == rows_signature(clean)
+
+    def test_gc_keeps_the_journal_and_its_side_files(self, tmp_path):
+        spec = trace_spec()
+        cache = partial_entry(tmp_path, spec, count=1)
+        entry = cache.path(spec)
+        [side_file] = [p for p in entry.iterdir() if p.suffix == ".npz"]
+        (entry / "orphan-00000000.npz").write_bytes(b"left behind by a kill")
+        report = cache.gc()
+        assert report.removed_orphans == 1
+        assert journal_path(cache, spec).exists()
+        assert side_file.exists()
+        resumed = ExperimentRunner(cache_dir=tmp_path, jobs=1).run(spec)
+        assert resumed.meta["cells_from_cache"] == 1
+
+    def test_ls_counts_journal_rows(self, tmp_path, capsys):
+        from repro.experiments.cli import main
+
+        spec = trace_spec()
+        cache = partial_entry(tmp_path, spec, count=2)
+        assert json.loads(cache.manifest_path(spec).read_text())["rows"] == []
+        [info] = cache.entries()
+        assert (info.status, info.cells, info.artifacts) == ("partial", 2, 2)
+        assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
+        assert "partial" in capsys.readouterr().out
+
+    def test_finalize_removes_the_journal(self, tmp_path):
+        spec = analytic_spec()
+        cache = partial_entry(tmp_path, spec, count=1)
+        assert journal_path(cache, spec).exists()
+        ExperimentRunner(cache_dir=tmp_path, jobs=1).run(spec)
+        assert json.loads(cache.manifest_path(spec).read_text())["status"] == "complete"
+        assert not journal_path(cache, spec).exists()
+
+    def test_manifest_is_written_at_open_and_finalize_only(self, tmp_path, monkeypatch):
+        import repro.experiments.cache as cache_module
+
+        written = []
+        atomic = cache_module._write_json_atomic
+
+        def counting(path, payload, indent=None):
+            if path.name == "manifest.json":
+                written.append(payload["status"])
+            atomic(path, payload, indent)
+
+        monkeypatch.setattr(cache_module, "_write_json_atomic", counting)
+        ExperimentRunner(cache_dir=tmp_path, jobs=2).run(get_scenario("smoke"))
+        assert written == ["partial", "complete"]
+
+        # A run an exception ends writes one more partial manifest instead.
+        written.clear()
+        monkeypatch.setenv(FAULT_ENV, "error:mva")
+        failing = ExperimentRunner(
+            cache_dir=tmp_path / "failing", jobs=1, supervision=SupervisionPolicy(retries=0)
+        )
+        with pytest.raises(FailureBudgetExceeded):
+            failing.run(get_scenario("smoke"))
+        assert written == ["partial", "partial"]

@@ -111,6 +111,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             PHDistribution(np.array([1.0]), np.array([[-1.0, 0.0], [0.0, -1.0]]))
 
+    def test_single_phase_without_exit_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            PHDistribution([1.0], [[0.0]])
+
+    def test_closed_phase_class_rejected(self):
+        # Both phases only feed each other: no phase reaches absorption.
+        with pytest.raises(ValueError, match="singular"):
+            PHDistribution([1.0, 0.0], [[-1.0, 1.0], [1.0, -1.0]])
+
     def test_moment_requires_positive_order(self):
         with pytest.raises(ValueError):
             PHDistribution([1.0], [[-1.0]]).moment(0)
