@@ -10,7 +10,9 @@ the paper's testbed:
   bottleneck-switch analysis of Figures 6–8).
 
 Simulators call :meth:`ServerMonitor.record_busy`, :meth:`record_completion`
-and :meth:`record_queue_length` as the simulation progresses; at the end,
+and :meth:`record_queue_length` with one record or with equal-length arrays
+of them; the TPC-W testbed keeps an interval log and hands it over in blocks
+of :data:`~repro.monitoring.windows.FLUSH_RECORDS` rows.  At the end,
 :meth:`ServerMonitor.series` snapshots everything into an immutable
 :class:`MonitoringSeries` that feeds the model-building pipeline of
 :mod:`repro.core`.
@@ -124,16 +126,16 @@ class ServerMonitor:
         self._queue = TimeWeightedWindows(utilization_window)
         self._completions = CountWindows(completion_window)
 
-    def record_busy(self, start: float, end: float) -> None:
-        """Record that the server was busy over ``[start, end)``."""
+    def record_busy(self, start, end) -> None:
+        """Record that the server was busy over ``[start, end)`` (scalars or arrays)."""
         self._busy.record(start, end, 1.0)
 
-    def record_queue_length(self, start: float, end: float, queue_length: float) -> None:
+    def record_queue_length(self, start, end, queue_length) -> None:
         """Record that ``queue_length`` jobs were present over ``[start, end)``."""
         self._queue.record(start, end, queue_length)
 
-    def record_completion(self, time: float, count: float = 1.0) -> None:
-        """Record ``count`` request completions at the given time."""
+    def record_completion(self, time, count=1.0) -> None:
+        """Record ``count`` request completions at each given time."""
         self._completions.record(time, count)
 
     def series(self, horizon: float) -> MonitoringSeries:

@@ -13,11 +13,13 @@ series, in two vectorized functions:
 Both keep the dtype of their input: the live service
 (:mod:`repro.service.streaming`) bins ``int64`` trace ticks with them, which
 is exact, and the accumulators below bin float seconds.
-:class:`TimeWeightedWindows` and :class:`CountWindows` validate each
-``record`` call eagerly but only buffer it; every :data:`FLUSH_RECORDS`
-records, and in ``series()``, the buffer goes through the binner in one
-call.  The binner adds every contribution in record order, so a window's
-float sum sees exactly the additions a per-record loop would make.
+:class:`TimeWeightedWindows` and :class:`CountWindows` take one record or
+equal-length arrays of records per ``record`` call.  They validate each
+call eagerly but only buffer it; every :data:`FLUSH_RECORDS` records, and
+in ``series()``, the buffer goes through the binner in one call.  The
+binner adds every contribution in record order, so a window's float sum
+sees exactly the additions a per-record loop would make, however the
+records were batched.
 
 Window semantics
 ----------------
@@ -110,10 +112,18 @@ def bin_points(times, window, num_windows: int, weights=None, *, out=None):
     return out
 
 
+def _columns(*values) -> list[np.ndarray]:
+    """Scalars or equal-length arrays as equal-length float64 columns."""
+    columns = [np.asarray(value, dtype=np.float64).reshape(-1) for value in values]
+    if len({column.size for column in columns}) > 1:
+        columns = np.broadcast_arrays(*columns)
+    return columns
+
+
 class _BufferedWindows:
     """Per-window sums plus the records buffered since the last flush.
 
-    Subclasses append one value per field to ``_buffers`` in ``record`` and
+    Subclasses pass one column per field to ``_extend`` in ``record`` and
     bin the flushed columns into ``_sums`` in ``_bin``.
     """
 
@@ -123,6 +133,12 @@ class _BufferedWindows:
         self.window = float(window)
         self._sums = np.zeros(0)
         self._buffers = tuple(array("d") for _ in range(fields))
+
+    def _extend(self, *columns: np.ndarray) -> None:
+        for buffer, column in zip(self._buffers, columns):
+            buffer.frombytes(np.ascontiguousarray(column, dtype=np.float64).tobytes())
+        if len(self._buffers[0]) >= FLUSH_RECORDS:
+            self._flush()
 
     def _flush(self) -> None:
         if not self._buffers[0]:
@@ -152,16 +168,17 @@ class CountWindows(_BufferedWindows):
 
     def __init__(self, window: float) -> None:
         super().__init__(window, 2)
-        self._times, self._amounts = self._buffers
 
-    def record(self, time: float, amount: float = 1.0) -> None:
-        """Record ``amount`` events at the given absolute time."""
-        if not 0.0 <= time < math.inf:
+    def record(self, time, amount=1.0) -> None:
+        """Record ``amount`` events at the given absolute time.
+
+        ``time`` and ``amount`` are scalars or equal-length arrays (a scalar
+        ``amount`` applies to every time).
+        """
+        times, amounts = _columns(time, amount)
+        if not ((times >= 0.0) & (times < math.inf)).all():
             raise ValueError("time must be non-negative and finite")
-        self._times.append(time)
-        self._amounts.append(amount)
-        if len(self._times) >= FLUSH_RECORDS:
-            self._flush()
+        self._extend(times, amounts)
 
     def _bin(self, times: np.ndarray, amounts: np.ndarray) -> None:
         self._grow(int(times.max() // self.window) + 1)
@@ -188,23 +205,25 @@ class TimeWeightedWindows(_BufferedWindows):
 
     def __init__(self, window: float) -> None:
         super().__init__(window, 3)
-        self._starts, self._ends, self._values = self._buffers
 
-    def record(self, start: float, end: float, value: float) -> None:
-        """Add ``value`` integrated over the interval ``[start, end)``."""
-        if end < start:
+    def record(self, start, end, value) -> None:
+        """Add ``value`` integrated over the interval ``[start, end)``.
+
+        The arguments are scalars or equal-length arrays of intervals (a
+        scalar applies to every interval).  Zero-length and zero-value
+        intervals are dropped before the other checks, as one at a time.
+        """
+        starts, ends, values = _columns(start, end, value)
+        if (ends < starts).any():
             raise ValueError("end must not precede start")
-        if value == 0.0 or end == start:
-            return
-        if not start >= 0:
+        keep = (values != 0.0) & (ends != starts)
+        if not keep.all():
+            starts, ends, values = starts[keep], ends[keep], values[keep]
+        if not (starts >= 0).all():
             raise ValueError("start must be non-negative")
-        if not end < math.inf:
+        if not (ends < math.inf).all():
             raise ValueError("end must be finite")
-        self._starts.append(start)
-        self._ends.append(end)
-        self._values.append(value)
-        if len(self._starts) >= FLUSH_RECORDS:
-            self._flush()
+        self._extend(starts, ends, values)
 
     def _bin(self, starts: np.ndarray, ends: np.ndarray, values: np.ndarray) -> None:
         # The latest end's window (by the binner's rule) is the last one touched.

@@ -1,9 +1,5 @@
 """Discrete-event simulation substrate.
 
-* :mod:`~repro.simulation.events` — a minimal time-ordered event queue,
-  used by the TPC-W testbed,
-* :mod:`~repro.simulation.ps_server` — an exact processor-sharing server
-  based on virtual (attained-service) time,
 * :mod:`~repro.simulation.trace_queue` — the trace-driven open queue used for
   Table 1 (Poisson arrivals, service times read from a trace, FCFS),
 * :mod:`~repro.simulation.closed_network` — the one jump-chain kernel of
@@ -19,8 +15,6 @@
 * :mod:`~repro.simulation.random_streams` — named seed derivation.
 """
 
-from repro.simulation.events import EventQueue
-from repro.simulation.ps_server import ProcessorSharingServer
 from repro.simulation.trace_queue import TraceQueueResult, simulate_mtrace1
 from repro.simulation.closed_network import (
     BATCH_RNG_CHUNK,
@@ -37,8 +31,6 @@ from repro.simulation.timevarying import (
 from repro.simulation.random_streams import derive_seed, named_seed_sequence
 
 __all__ = [
-    "EventQueue",
-    "ProcessorSharingServer",
     "TraceQueueResult",
     "simulate_mtrace1",
     "ClosedNetworkSimResult",

@@ -21,6 +21,7 @@ the paper.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ class ContentionProcess:
             clock += duration
             contended = not contended
         self._episodes = episodes
-        self._starts = np.array([start for start, _ in episodes]) if episodes else np.empty(0)
-        self._ends = np.array([end for _, end in episodes]) if episodes else np.empty(0)
+        self._starts = [start for start, _ in episodes]
+        self._ends = [end for _, end in episodes]
 
     @property
     def episodes(self) -> list[tuple[float, float]]:
@@ -104,13 +105,13 @@ class ContentionProcess:
         return list(self._episodes)
 
     def is_contended(self, time: float) -> bool:
-        """Whether the shared resource is contended at the given time."""
-        if self._starts.size == 0:
-            return False
-        index = int(np.searchsorted(self._starts, time, side="right")) - 1
-        if index < 0:
-            return False
-        return time < self._ends[index]
+        """Whether the shared resource is contended at the given time.
+
+        Episodes are half-open: contended from ``start`` up to, not
+        including, ``end``.
+        """
+        index = bisect_right(self._starts, time) - 1
+        return index >= 0 and time < self._ends[index]
 
     def contended_time(self, start: float = 0.0, end: float | None = None) -> float:
         """Total contended time within ``[start, end]``."""

@@ -19,6 +19,7 @@ the effect of session-level correlation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,6 +189,7 @@ class CustomerBehaviorGraph:
     start_transaction: str = "Home"
     _names: list[str] = field(init=False, repr=False)
     _probabilities: np.ndarray = field(init=False, repr=False)
+    _cdf: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.stickiness < 1.0:
@@ -195,19 +197,28 @@ class CustomerBehaviorGraph:
         if self.start_transaction not in TRANSACTION_CATALOG:
             raise ValueError("unknown start transaction %r" % self.start_transaction)
         self._names, self._probabilities = self.mix.as_arrays()
+        if not np.all(self._probabilities >= 0):
+            raise ValueError("mix probabilities must be non-negative")
+        # The CDF ``Generator.choice(n, p=...)`` builds on every call.
+        cdf = self._probabilities.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
 
     def initial_transaction(self) -> str:
         """The first transaction of a fresh session."""
         return self.start_transaction
 
     def next_transaction(self, current: str | None, rng: np.random.Generator) -> str:
-        """Sample the next transaction given the current one."""
+        """Sample the next transaction given the current one.
+
+        The draw is ``rng.choice(n, p=...)`` without its per-call checks: one
+        uniform located in the mix CDF, index for index the same.
+        """
         if current is None:
             return self.initial_transaction()
         if self.stickiness > 0.0 and rng.random() < self.stickiness:
             return current
-        index = int(rng.choice(len(self._names), p=self._probabilities))
-        return self._names[index]
+        return self._names[bisect_right(self._cdf, rng.random())]
 
     def transition_matrix(self) -> tuple[list[str], np.ndarray]:
         """Explicit CBMG transition matrix (rows sum to one)."""

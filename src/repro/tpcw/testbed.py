@@ -13,26 +13,38 @@ paper (Figure 3):
   it does not affect the coarse-grained observables),
 * the **contention process** of Section 3.3 that slows down the database
   queries of Best Seller / Home transactions during contention episodes,
-* monitoring hooks that record, exactly like `sar` and HP Diagnostics would,
+* monitoring that records, exactly like `sar` and HP Diagnostics would,
   per-window utilisations (1 s), completed-request counts (5 s), database
   queue lengths and per-transaction-type in-system counts.
+
+:meth:`TPCWTestbed.run` is one event loop over a heap of
+``(time, sequence, kind, arg)`` tuples, with both processor-sharing servers
+written inline.  It feeds the monitors through an *interval log*: one row
+per inter-event interval (start, end, jobs at each tier, in-system count of
+each tracked transaction) and one list of completion times per tier.  Every
+:data:`~repro.monitoring.windows.FLUSH_RECORDS` rows, and once at the end,
+the columns go to the window accumulators in one array call each, so memory
+stays bounded and each window sees the additions a per-event ``record``
+call would make, in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.monitoring.collector import MonitoringSeries, ServerMonitor
-from repro.monitoring.windows import TimeWeightedWindows
-from repro.simulation.events import EventQueue
-from repro.simulation.ps_server import ProcessorSharingServer
+from repro.monitoring.windows import FLUSH_RECORDS, TimeWeightedWindows
 from repro.tpcw.contention import ContentionConfig, ContentionProcess
 from repro.tpcw.mixes import CustomerBehaviorGraph, TransactionMix
 from repro.tpcw.transactions import TRANSACTION_CATALOG
 
 __all__ = ["TestbedConfig", "TestbedResult", "TPCWTestbed"]
+
+# Event kinds.
+_THINK_END, _FRONT_DONE, _DB_DONE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -134,10 +146,6 @@ class TestbedResult:
 class TPCWTestbed:
     """Discrete-event simulator of the three-tier TPC-W testbed."""
 
-    _THINK_END = 0
-    _FRONT_DONE = 1
-    _DB_DONE = 2
-
     def __init__(self, config: TestbedConfig) -> None:
         self.config = config
         self._cbmg = CustomerBehaviorGraph(config.mix, stickiness=config.cbmg_stickiness)
@@ -155,143 +163,206 @@ class TPCWTestbed:
         contention_rng = np.random.default_rng(rng.integers(2**63))
 
         horizon = config.horizon
+        warmup = config.warmup
         contention = ContentionProcess(config.contention, horizon, contention_rng)
-
-        front = ProcessorSharingServer("front")
-        database = ProcessorSharingServer("database")
         front_monitor = ServerMonitor(
             "front", config.utilization_window, config.completion_window
         )
         db_monitor = ServerMonitor(
             "database", config.utilization_window, config.completion_window
         )
-        tracked_windows = {
-            name: TimeWeightedWindows(config.utilization_window)
-            for name in config.tracked_transactions
-        }
-        tracked_counts = {name: 0 for name in config.tracked_transactions}
+        tracked_names = tuple(dict.fromkeys(config.tracked_transactions))
+        tracked_windows = [TimeWeightedWindows(config.utilization_window) for _ in tracked_names]
+        tracked_index = {name: index for index, name in enumerate(tracked_names)}
+        tracked_counts = [0] * len(tracked_names)
 
-        events = EventQueue()
-        # Per-EB session state: current transaction name (None until first request).
-        current_transaction: dict[int, str | None] = {}
-        request_start: dict[int, float] = {}
-        front_version = 0
-        db_version = 0
+        # The interval log: one row (start, end, front jobs, db jobs, tracked
+        # counts...) per inter-event interval, flattened into one list, plus
+        # each tier's completion times; every FLUSH_RECORDS rows it goes to
+        # the monitors in one call per accumulator.
+        width = 4 + len(tracked_names)
+        log: list[float] = []
+        front_done: list[float] = []
+        db_done: list[float] = []
+
+        def flush() -> None:
+            if log:
+                rows = np.array(log, dtype=np.float64).reshape(-1, width)
+                log.clear()
+                starts, ends = rows[:, 0], rows[:, 1]
+                for monitor, jobs in ((front_monitor, rows[:, 2]), (db_monitor, rows[:, 3])):
+                    busy = jobs > 0
+                    monitor.record_busy(starts[busy], ends[busy])
+                    monitor.record_queue_length(starts, ends, jobs)
+                for column, window in enumerate(tracked_windows, start=4):
+                    window.record(starts, ends, rows[:, column])
+            for monitor, times in ((front_monitor, front_done), (db_monitor, db_done)):
+                if times:
+                    monitor.record_completion(times)
+                    times.clear()
+
+        # Two egalitarian processor-sharing servers in virtual time: the
+        # virtual clock advances at rate 1/n while n jobs are present, and a
+        # job of demand S admitted at virtual time V leaves when it reaches
+        # V + S.  Each heap holds (virtual finish, EB) of the jobs present.
+        front_heap: list[tuple[float, int]] = []
+        db_heap: list[tuple[float, int]] = []
+        front_virtual = front_updated = 0.0
+        db_virtual = db_updated = 0.0
+        # A completion event carries its server's version when scheduled;
+        # every arrival and departure bumps the version, so a popped event
+        # with an older one is stale.  Stale events still end a logged
+        # interval, which the binned float sums depend on.
+        front_version = db_version = 0
         # Number of contention-sensitive requests currently at the database
         # (drives the cascade of the contention slowdown).
         sensitive_at_db = 0
+
+        # Per-EB session state: current transaction (None until the first
+        # request), request start time, and whether its request is at a server.
+        current_transaction: list[str | None] = [None] * config.num_ebs
+        request_start = [0.0] * config.num_ebs
+        in_service = [False] * config.num_ebs
 
         # Aggregate statistics (measured interval only).
         completed = 0
         response_time_sum = 0.0
         transaction_counts: dict[str, int] = {name: 0 for name in TRANSACTION_CATALOG}
 
-        def schedule_front_completion(now: float) -> int:
-            completion = front.next_completion_time(now)
-            version = front_version
-            if completion is not None:
-                events.schedule(completion, (self._FRONT_DONE, version))
-            return version
-
-        def schedule_db_completion(now: float) -> int:
-            completion = database.next_completion_time(now)
-            version = db_version
-            if completion is not None:
-                events.schedule(completion, (self._DB_DONE, version))
-            return version
+        # Events are (time, sequence, kind, EB or version); the sequence
+        # number breaks time ties in scheduling order.
+        events: list[tuple[float, int, int, int]] = []
+        sequence = 0
+        think_time = config.think_time
+        think = think_rng.exponential
+        demand_of = demand_rng.exponential
+        next_transaction = self._cbmg.next_transaction
+        catalog = TRANSACTION_CATALOG
+        sensitive = {name for name, entry in catalog.items() if entry.contention_sensitive}
 
         # Start every EB thinking (staggered by an initial think time).
         for eb in range(config.num_ebs):
-            current_transaction[eb] = None
-            first_think = think_rng.exponential(config.think_time)
-            events.schedule(first_think, (self._THINK_END, eb))
+            heappush(events, (think(think_time), sequence, _THINK_END, eb))
+            sequence += 1
 
         clock = 0.0
-        catalog = TRANSACTION_CATALOG
-        warmup = config.warmup
-
         while events:
-            event_time, payload = events.pop()
+            event_time, _, kind, arg = heappop(events)
             if event_time > horizon:
                 break
-            # --- record the interval [clock, event_time) with the *current* state
             if event_time > clock:
-                if front.is_busy:
-                    front_monitor.record_busy(clock, event_time)
-                    front_monitor.record_queue_length(clock, event_time, front.num_jobs)
-                if database.is_busy:
-                    db_monitor.record_busy(clock, event_time)
-                    db_monitor.record_queue_length(clock, event_time, database.num_jobs)
-                for name, window in tracked_windows.items():
-                    count = tracked_counts[name]
-                    if count:
-                        window.record(clock, event_time, count)
+                log.extend((clock, event_time, len(front_heap), len(db_heap), *tracked_counts))
+                if len(log) >= FLUSH_RECORDS * width:
+                    flush()
             clock = event_time
 
-            kind = payload[0]
-            if kind == self._THINK_END:
-                eb = payload[1]
-                transaction_name = self._cbmg.next_transaction(current_transaction[eb], nav_rng)
+            if kind == _THINK_END:
+                eb = arg
+                transaction_name = next_transaction(current_transaction[eb], nav_rng)
                 current_transaction[eb] = transaction_name
                 transaction = catalog[transaction_name]
                 request_start[eb] = clock
-                if transaction_name in tracked_counts:
-                    tracked_counts[transaction_name] += 1
+                tracked = tracked_index.get(transaction_name)
+                if tracked is not None:
+                    tracked_counts[tracked] += 1
                 factor = contention.front_factor(clock, transaction)
-                demand = demand_rng.exponential(transaction.front_demand * factor)
-                front.arrive(eb, demand, clock)
+                demand = demand_of(transaction.front_demand * factor)
+                # Admit the request at the front server.
+                if demand <= 0:
+                    raise ValueError("demand must be positive")
+                if in_service[eb]:
+                    raise ValueError("job %r is already in service" % (eb,))
+                in_service[eb] = True
+                elapsed = clock - front_updated
+                if elapsed < -1e-9:
+                    raise ValueError("time must not run backwards (%.6f < %.6f)" % (clock, front_updated))
+                if elapsed > 0:
+                    if front_heap:
+                        front_virtual += elapsed / len(front_heap)
+                    front_updated = clock
+                heappush(front_heap, (front_virtual + demand, eb))
                 front_version += 1
-                schedule_front_completion(clock)
-            elif kind == self._FRONT_DONE:
-                version = payload[1]
-                if version != front_version:
+                finish = front_updated + (front_heap[0][0] - front_virtual) * len(front_heap)
+                heappush(events, (finish, sequence, _FRONT_DONE, front_version))
+                sequence += 1
+            elif kind == _FRONT_DONE:
+                if arg != front_version or not front_heap:
                     continue  # stale completion event
-                if not front.is_busy:
-                    continue
-                eb = front.complete_next(clock)
-                front_monitor.record_completion(clock)
+                elapsed = clock - front_updated
+                if elapsed < -1e-9:
+                    raise ValueError("time must not run backwards (%.6f < %.6f)" % (clock, front_updated))
+                if elapsed > 0:
+                    front_virtual += elapsed / len(front_heap)
+                    front_updated = clock
+                eb = heappop(front_heap)[1]
+                front_done.append(clock)
                 front_version += 1
-                schedule_front_completion(clock)
-                transaction = catalog[current_transaction[eb]]
-                factor = contention.db_factor(clock, transaction, sensitive_at_db)
-                demand = demand_rng.exponential(transaction.db_demand * factor)
-                if transaction.contention_sensitive:
-                    sensitive_at_db += 1
-                database.arrive(eb, demand, clock)
-                db_version += 1
-                schedule_db_completion(clock)
-            else:  # DB_DONE
-                version = payload[1]
-                if version != db_version:
-                    continue
-                if not database.is_busy:
-                    continue
-                eb = database.complete_next(clock)
-                db_monitor.record_completion(clock)
-                db_version += 1
-                schedule_db_completion(clock)
+                if front_heap:
+                    finish = front_updated + (front_heap[0][0] - front_virtual) * len(front_heap)
+                    heappush(events, (finish, sequence, _FRONT_DONE, front_version))
+                    sequence += 1
                 transaction_name = current_transaction[eb]
-                if catalog[transaction_name].contention_sensitive:
+                transaction = catalog[transaction_name]
+                factor = contention.db_factor(clock, transaction, sensitive_at_db)
+                demand = demand_of(transaction.db_demand * factor)
+                if transaction_name in sensitive:
+                    sensitive_at_db += 1
+                # Pass the request on to the database server.
+                if demand <= 0:
+                    raise ValueError("demand must be positive")
+                elapsed = clock - db_updated
+                if elapsed < -1e-9:
+                    raise ValueError("time must not run backwards (%.6f < %.6f)" % (clock, db_updated))
+                if elapsed > 0:
+                    if db_heap:
+                        db_virtual += elapsed / len(db_heap)
+                    db_updated = clock
+                heappush(db_heap, (db_virtual + demand, eb))
+                db_version += 1
+                finish = db_updated + (db_heap[0][0] - db_virtual) * len(db_heap)
+                heappush(events, (finish, sequence, _DB_DONE, db_version))
+                sequence += 1
+            else:  # _DB_DONE
+                if arg != db_version or not db_heap:
+                    continue
+                elapsed = clock - db_updated
+                if elapsed < -1e-9:
+                    raise ValueError("time must not run backwards (%.6f < %.6f)" % (clock, db_updated))
+                if elapsed > 0:
+                    db_virtual += elapsed / len(db_heap)
+                    db_updated = clock
+                eb = heappop(db_heap)[1]
+                in_service[eb] = False
+                db_done.append(clock)
+                db_version += 1
+                if db_heap:
+                    finish = db_updated + (db_heap[0][0] - db_virtual) * len(db_heap)
+                    heappush(events, (finish, sequence, _DB_DONE, db_version))
+                    sequence += 1
+                transaction_name = current_transaction[eb]
+                if transaction_name in sensitive:
                     sensitive_at_db -= 1
-                if transaction_name in tracked_counts:
-                    tracked_counts[transaction_name] -= 1
+                tracked = tracked_index.get(transaction_name)
+                if tracked is not None:
+                    tracked_counts[tracked] -= 1
                 if clock >= warmup:
                     completed += 1
                     response_time_sum += clock - request_start[eb]
                     transaction_counts[transaction_name] += 1
-                events.schedule(
-                    clock + think_rng.exponential(config.think_time), (self._THINK_END, eb)
-                )
+                heappush(events, (clock + think(think_time), sequence, _THINK_END, eb))
+                sequence += 1
+        flush()
 
         # ------------------------------------------------------------------
         # Snapshot the monitoring data and drop the warm-up windows.
         # ------------------------------------------------------------------
         front_series = self._trim(front_monitor.series(horizon), config)
         db_series = self._trim(db_monitor.series(horizon), config)
-        tracked_series = {}
         util_skip = int(round(warmup / config.utilization_window))
-        for name, window in tracked_windows.items():
-            tracked_series[name] = window.series(horizon, normalize=True)[util_skip:]
+        tracked_series = {
+            name: window.series(horizon, normalize=True)[util_skip:]
+            for name, window in zip(tracked_names, tracked_windows)
+        }
 
         measured_duration = config.duration
         throughput = completed / measured_duration if measured_duration > 0 else 0.0

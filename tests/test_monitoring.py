@@ -118,6 +118,20 @@ class TestTimeWeightedWindows:
         assert series.shape == (3,)
         assert series.sum() == pytest.approx(6.0)
 
+    def test_array_records_apply_the_per_record_rules(self):
+        windows = TimeWeightedWindows(1.0)
+        with pytest.raises(ValueError, match="precede"):
+            windows.record([0.0, 2.0], [1.0, 1.5], 1.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            windows.record([0.0, -1.0], [0.5, 0.5], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            windows.record([0.0], [np.inf], [1.0])
+        # Zero-length and zero-value intervals are dropped before the checks.
+        windows.record([-1.0, 0.0, 1.0], [-1.0, 0.5, 1.5], [1.0, 0.0, 2.0])
+        assert np.array_equal(windows.series(normalize=False), [0.0, 1.0])
+        with pytest.raises(ValueError):
+            windows.record([0.0, 1.0], [1.0, 2.0, 3.0], 1.0)  # unequal lengths
+
 
 class TestServerMonitor:
     def test_utilization_series(self):
@@ -126,6 +140,25 @@ class TestServerMonitor:
         monitor.record_busy(1.0, 2.0)
         series = monitor.series(horizon=5.0)
         assert np.allclose(series.utilization, [0.5, 1.0, 0.0, 0.0, 0.0])
+
+    def test_array_records_equal_scalar_records(self):
+        starts, ends = [0.0, 0.5, 2.25, 3.0], [0.5, 2.25, 3.0, 4.75]
+        jobs, completions = [1.0, 3.0, 0.0, 2.0], [0.5, 2.25, 4.0, 4.75]
+        scalar = ServerMonitor("srv", 1.0, 2.0)
+        for start, end, count in zip(starts, ends, jobs):
+            if count:
+                scalar.record_busy(start, end)
+            scalar.record_queue_length(start, end, count)
+        for time in completions:
+            scalar.record_completion(time)
+        batched = ServerMonitor("srv", 1.0, 2.0)
+        busy = np.array(jobs) > 0
+        batched.record_busy(np.array(starts)[busy], np.array(ends)[busy])
+        batched.record_queue_length(starts, ends, jobs)
+        batched.record_completion(completions)
+        expected, got = scalar.series(5.0), batched.series(5.0)
+        for name in ("utilization", "queue_length", "completions"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
 
     def test_completion_series_and_throughput(self):
         monitor = ServerMonitor("srv", 1.0, 5.0)

@@ -344,6 +344,14 @@ def _bulk_records(bulk, seed, window):
     return list(zip((ends - lengths).tolist(), ends.tolist(), values.tolist()))
 
 
+def _record_in_two_arrays(accumulator, records, split, fields):
+    """``records`` as two array ``record`` calls, flushed in between."""
+    for chunk in (records[:split], records[split:]):
+        columns = np.array(chunk, dtype=float).reshape(-1, fields).T
+        accumulator.record(*columns)
+        accumulator.series()
+
+
 class TestBufferedWindowsMatchPerRecordLoop:
     @given(
         window=st.sampled_from([0.1, 0.15, 0.3, 1.0, 5.0]) | st.floats(min_value=0.01, max_value=10.0),
@@ -351,10 +359,13 @@ class TestBufferedWindowsMatchPerRecordLoop:
         seed=st.integers(min_value=0, max_value=1000),
         steps=st.lists(st.tuples(window_offsets, window_offsets, record_values), max_size=20),
         split=st.integers(min_value=0, max_value=FLUSH_RECORDS + 30),
+        batched=st.booleans(),
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @example(window=0.1, bulk=0, seed=0, steps=[(0, 3, 1.0)], split=0)  # end 3*0.1 is a boundary
-    def test_time_weighted(self, window, bulk, seed, steps, split):
+    @example(window=0.1, bulk=0, seed=0, steps=[(0, 3, 1.0)], split=0, batched=False)  # end 3*0.1 is a boundary
+    @example(window=0.1, bulk=0, seed=0, steps=[(0, 3, 1.0)], split=0, batched=True)
+    @example(window=1.0, bulk=0, seed=0, steps=[], split=0, batched=True)  # empty arrays
+    def test_time_weighted(self, window, bulk, seed, steps, split, batched):
         records = _bulk_records(bulk, seed, window)
         clock = records[-1][1] if records else 0.0
         for gap, length, value in steps:
@@ -363,7 +374,9 @@ class TestBufferedWindowsMatchPerRecordLoop:
             records.append((start, end, value))
             clock = end
         accumulator = TimeWeightedWindows(window)
-        for position, (start, end, value) in enumerate(records):
+        if batched:
+            _record_in_two_arrays(accumulator, records, split, 3)
+        for position, (start, end, value) in enumerate([] if batched else records):
             if position == split:
                 accumulator.series()  # flushes mid-stream
             accumulator.record(start, end, value)
@@ -381,16 +394,19 @@ class TestBufferedWindowsMatchPerRecordLoop:
         seed=st.integers(min_value=0, max_value=1000),
         steps=st.lists(st.tuples(window_offsets, record_values), max_size=20),
         split=st.integers(min_value=0, max_value=FLUSH_RECORDS + 30),
+        batched=st.booleans(),
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_count(self, window, bulk, seed, steps, split):
+    def test_count(self, window, bulk, seed, steps, split, batched):
         events = [(end, value) for _, end, value in _bulk_records(bulk, seed, window)]
         clock = events[-1][0] if events else 0.0
         for offset, amount in steps:
             clock += offset * window if isinstance(offset, int) else offset
             events.append((clock, amount))
         accumulator = CountWindows(window)
-        for position, (time, amount) in enumerate(events):
+        if batched:
+            _record_in_two_arrays(accumulator, events, split, 2)
+        for position, (time, amount) in enumerate([] if batched else events):
             if position == split:
                 accumulator.series()
             accumulator.record(time, amount)

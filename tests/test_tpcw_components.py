@@ -126,6 +126,39 @@ class TestCustomerBehaviorGraph:
         with pytest.raises(ValueError):
             CustomerBehaviorGraph(BROWSING_MIX, start_transaction="Nope")
 
+    def test_negative_mix_weight_rejected(self):
+        # Generator.choice rejected it on every draw; the CDF is checked once.
+        mix = TransactionMix("negative", {"Home": 2.0, "Best Sellers": -0.5})
+        with pytest.raises(ValueError, match="non-negative"):
+            CustomerBehaviorGraph(mix)
+
+    @pytest.mark.parametrize("stickiness", [0.0, 0.3])
+    @pytest.mark.parametrize("mix", list(STANDARD_MIXES.values()), ids=list(STANDARD_MIXES))
+    def test_next_transaction_matches_generator_choice_draw_for_draw(self, mix, stickiness):
+        draws = 200_000
+        names, probabilities = mix.as_arrays()
+        cbmg = CustomerBehaviorGraph(mix, stickiness=stickiness)
+        rng = np.random.default_rng(2024)
+        current = "Home"
+        sampled = []
+        for _ in range(draws):
+            current = cbmg.next_transaction(current, rng)
+            sampled.append(current)
+        reference = np.random.default_rng(2024)
+        if stickiness == 0.0:
+            # One vectorised choice consumes the same doubles as scalar calls.
+            indices = reference.choice(len(names), size=draws, p=probabilities)
+            expected = [names[index] for index in indices]
+        else:
+            current = "Home"
+            expected = []
+            for _ in range(draws):
+                if reference.random() >= stickiness:
+                    current = names[reference.choice(len(names), p=probabilities)]
+                expected.append(current)
+        assert sampled == expected
+        assert rng.random() == reference.random()
+
 
 class TestContention:
     def test_fraction(self):
@@ -150,6 +183,37 @@ class TestContention:
         for start, end in process.episodes:
             middle = (start + end) / 2.0
             assert process.is_contended(middle)
+
+    @pytest.mark.parametrize("start_in_contention", [False, True])
+    def test_is_contended_boundaries(self, start_in_contention):
+        process = ContentionProcess(
+            ContentionConfig(), 5000.0, np.random.default_rng(7), start_in_contention
+        )
+        episodes = process.episodes
+        assert len(episodes) > 5
+        for start, end in episodes:
+            assert process.is_contended(start)
+            assert process.is_contended(np.nextafter(end, -np.inf))
+            assert not process.is_contended(end)
+        first_start, last_end = episodes[0][0], episodes[-1][1]
+        if start_in_contention:
+            assert first_start == 0.0
+        else:
+            assert not process.is_contended(0.0)
+            assert not process.is_contended(np.nextafter(first_start, -np.inf))
+        assert not process.is_contended(-1.0)
+        assert not process.is_contended(last_end + 1.0)
+        assert not process.is_contended(1e9)
+
+    def test_disabled_is_never_contended(self):
+        process = ContentionProcess(
+            ContentionConfig(enabled=False), 1000.0, np.random.default_rng(7), True
+        )
+        best_sellers = TRANSACTION_CATALOG["Best Sellers"]
+        for time in (-1.0, 0.0, 500.0, 1000.0, 1e9):
+            assert not process.is_contended(time)
+            assert process.db_factor(time, best_sellers, sensitive_jobs_at_db=50) == 1.0
+            assert process.front_factor(time, best_sellers) == 1.0
 
     def test_factor_outside_episode_is_one(self, rng):
         process = ContentionProcess(ContentionConfig(), 500.0, rng, start_in_contention=False)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import ServerMeasurement
+from repro.queueing import mva_closed_network
 from repro.tpcw import (
     BROWSING_MIX,
     ORDERING_MIX,
@@ -129,6 +130,89 @@ class TestTestbedBasics:
             )
         assert digest.hexdigest() == expected
 
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (
+                TestbedConfig(mix=BROWSING_MIX, num_ebs=50, duration=120.0, warmup=20.0, seed=1),
+                "da91846505215fc0fffe20477fd638594162e4396db533c2a7b86b72eab59eb8",
+            ),
+            (
+                TestbedConfig(mix=BROWSING_MIX, num_ebs=50, duration=120.0, warmup=20.0, seed=2),
+                "5009ed26074e09a9581c01f333bfdcc681b6dcafce37fe892341a23cc0173292",
+            ),
+            (
+                TestbedConfig(
+                    mix=SHOPPING_MIX,
+                    num_ebs=50,
+                    duration=120.0,
+                    warmup=20.0,
+                    cbmg_stickiness=0.3,
+                    seed=3,
+                ),
+                "0f61186f12bfb44c11026a2fb3be99bb53127c90fcab6b1b0d2eda9ea92b808a",
+            ),
+            (
+                TestbedConfig(
+                    mix=BROWSING_MIX,
+                    num_ebs=50,
+                    duration=120.0,
+                    warmup=13.0,
+                    utilization_window=0.5,
+                    completion_window=2.5,
+                    seed=4,
+                ),
+                "6d2653010d90fed878264984f1699d2870409fc81b9113e97b57167bc3e10052",
+            ),
+            (
+                TestbedConfig(
+                    mix=ORDERING_MIX,
+                    num_ebs=50,
+                    duration=120.0,
+                    warmup=20.0,
+                    contention=ContentionConfig(enabled=False),
+                    seed=5,
+                ),
+                "120d888fa38a6ced24bc5f7fbb4f5513d341a05a5dbedfe654dc457991b41376",
+            ),
+        ],
+        ids=["browsing-1", "browsing-2", "shopping-sticky", "browsing-windows", "ordering-quiet"],
+    )
+    def test_every_result_field_is_pinned_bit_for_bit(self, config, expected):
+        # SHA-256 over every TestbedResult field of a short run, recorded from
+        # the event loop built on a PS-server class and per-event record calls.
+        assert _result_digest(TPCWTestbed(config).run()) == expected
+
+
+def _result_digest(result) -> str:
+    digest = hashlib.sha256()
+
+    def scalar(value) -> None:
+        digest.update(float(value).hex().encode() + b";")
+
+    def vector(values) -> None:
+        values = np.ascontiguousarray(values, dtype="<f8")
+        digest.update(str(values.size).encode() + b":" + values.tobytes())
+
+    for value in (result.throughput, result.completed_transactions, result.mean_response_time):
+        scalar(value)
+    for name in sorted(result.transaction_counts):
+        digest.update(f"{name}={result.transaction_counts[name]};".encode())
+    digest.update(str(len(result.contention_episodes)).encode() + b":")
+    for start, end in result.contention_episodes:
+        scalar(start)
+        scalar(end)
+    for series in (result.front, result.database):
+        digest.update(series.name.encode() + b";")
+        scalar(series.utilization_window)
+        scalar(series.completion_window)
+        for values in (series.utilization, series.queue_length, series.completions):
+            vector(values)
+    for name in sorted(result.tracked_in_system):
+        digest.update(name.encode() + b";")
+        vector(result.tracked_in_system[name])
+    return digest.hexdigest()
+
 
 class TestMixDifferences:
     def test_ordering_mix_lighter_on_database(self, browsing_run, ordering_run):
@@ -152,6 +236,42 @@ class TestMixDifferences:
         quiet = TPCWTestbed(quiet_config).run()
         assert quiet.database.queue_length.max() < 20.0
         assert quiet.contention_episodes == ()
+
+
+class TestClosedNetworkInvariant:
+    """With contention off the testbed is a closed BCMP network.
+
+    Two processor-sharing stations and a delay station, with the transaction
+    type drawn afresh at every think end: one chain with class switching, so
+    its throughput is exact MVA on the mix-average demands.
+    """
+
+    @pytest.mark.parametrize("num_ebs", [10, 50, 120])
+    @pytest.mark.parametrize("mix", [BROWSING_MIX, ORDERING_MIX], ids=["browsing", "ordering"])
+    def test_throughput_and_utilization_match_mva(self, mix, num_ebs):
+        demands = (mix.mean_front_demand(), mix.mean_db_demand())
+        runs = [
+            TPCWTestbed(
+                TestbedConfig(
+                    mix=mix,
+                    num_ebs=num_ebs,
+                    think_time=0.5,
+                    duration=1000.0,
+                    warmup=20.0,
+                    contention=ContentionConfig(enabled=False),
+                    tracked_transactions=(),
+                    seed=seed,
+                )
+            ).run()
+            for seed in range(4)
+        ]
+        throughput = np.mean([run.throughput for run in runs])
+        exact = mva_closed_network(demands, 0.5, num_ebs).throughput_at(num_ebs)
+        assert throughput == pytest.approx(exact, rel=0.02)
+        front = np.mean([run.front_utilization for run in runs])
+        database = np.mean([run.db_utilization for run in runs])
+        assert front == pytest.approx(throughput * demands[0], rel=0.02)
+        assert database == pytest.approx(throughput * demands[1], rel=0.02)
 
 
 class TestExperimentDrivers:
