@@ -5,10 +5,15 @@ production problem: one OOM-killed worker on a huge solve, or one hung
 scipy call, poisons the whole campaign.  This module replaces it with a
 *supervision envelope* around each work unit:
 
-* every unit runs in its own worker process with a one-way result pipe,
+* units run in a :class:`WorkerPool` of up to ``jobs`` forked worker
+  processes; each worker serves many units over its own pipe (receive a
+  task, execute it, send the rows back), so a run forks once per worker
+  rather than once per unit,
 * a per-cell wall-clock timeout (``cell_timeout``) kills hung workers,
 * crashed / timed-out / erroring / corrupt-returning units are retried up
-  to ``retries`` times with exponential backoff and decorrelated jitter,
+  to ``retries`` times with exponential backoff and decorrelated jitter;
+  the worker of a failed attempt is retired, so every retry starts in a
+  fresh fork,
 * a unit that exhausts its retries becomes a typed
   :class:`~repro.experiments.results.CellFailure` instead of an exception —
   until more than ``max_failures`` cells have failed, at which point
@@ -16,12 +21,19 @@ scipy call, poisons the whole campaign.  This module replaces it with a
   makes any post-retry failure fatal; raise it to degrade gracefully to
   partial results).
 
+Workers are forked lazily, on the first task that needs one, so they
+inherit whatever the caller warmed before dispatching (the runner's shared
+inputs).  A pool lives as long as its owner decides: :func:`run_supervised`
+opens and closes one per call unless it is handed one (the live service
+keeps one single-worker pool across all its stage invocations).
+
 Retry determinism: a work unit is a pure function of its payload (the cell
 seed is derived from the spec and cell key, never from attempt count or
 wall clock), so a cell that crashes twice and then succeeds returns rows
 bit-identical to one that succeeded immediately.  Fault injection for tests
-and chaos runs is read from ``REPRO_FAULT_INJECT`` inside the worker (see
-:mod:`repro.experiments.faults`).
+and chaos runs is read from ``REPRO_FAULT_INJECT``: each task carries the
+dispatching process's value and the worker applies it before executing
+(see :mod:`repro.experiments.faults`).
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Iterator
 
 from repro.experiments.faults import (
+    FAULT_ENV,
     POOL_FAULT_KINDS,
     InjectedFault,
     active_directives,
@@ -48,6 +61,7 @@ __all__ = [
     "FailureBudgetExceeded",
     "SupervisedTask",
     "SupervisionPolicy",
+    "WorkerPool",
     "fork_context",
     "run_supervised",
 ]
@@ -119,8 +133,8 @@ class SupervisedTask:
     cells: tuple[tuple[str, str, int, int], ...]
 
 
-def _child_main(conn, execute, payload, keys, attempt) -> None:
-    """Worker entry point: apply fault injection, execute, ship the rows."""
+def _run_task(conn, execute, payload, keys, attempt) -> None:
+    """Apply fault injection, execute one task, ship the rows or the error."""
     directive = None
     for key in keys:
         directive = matching_directive(
@@ -151,6 +165,27 @@ def _child_main(conn, execute, payload, keys, attempt) -> None:
     conn.send(("rows", rows))
 
 
+def _worker_main(conn, inherited) -> None:
+    """Worker loop: receive a task, run it, send the result, repeat.
+
+    ``inherited`` are the parent-side pipe ends the fork copied; closing
+    them lets this worker see EOF (and exit) once its parent is gone.
+    """
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError):
+            return
+        fault_spec, execute, payload, keys, attempt = task
+        if fault_spec:
+            os.environ[FAULT_ENV] = fault_spec
+        else:
+            os.environ.pop(FAULT_ENV, None)
+        _run_task(conn, execute, payload, keys, attempt)
+
+
 def fork_context():
     """Multiprocessing context of every worker the engine starts: ``fork``
     where available (cheap, and children inherit ``sys.path`` and the
@@ -160,11 +195,79 @@ def fork_context():
 
 
 @dataclass
+class _Worker:
+    process: Any
+    conn: Any
+
+
+class WorkerPool:
+    """Up to ``size`` forked workers, each serving many tasks in turn.
+
+    :meth:`submit` hands a task to an idle worker, forking one when none is
+    idle; the caller keeps at most ``size`` tasks in flight.  A worker whose
+    task returned valid rows goes back to the idle list (:meth:`release`);
+    any other outcome retires it (:meth:`retire` kills and joins it), so
+    no task runs in a process a failed attempt may have left inconsistent.
+    :meth:`close` kills and joins every worker and may be called repeatedly.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = max(1, size)
+        self._context = fork_context()
+        self._idle: list[_Worker] = []
+        self._workers: list[_Worker] = []
+
+    def submit(self, task: tuple) -> _Worker:
+        """Send ``(execute, payload, keys, attempt)`` to a worker; returns it."""
+        # The dispatcher's fault spec rides along, so a directive set after
+        # the worker was forked still fires.
+        message = (os.environ.get(FAULT_ENV, ""),) + task
+        while self._idle:
+            worker = self._idle.pop()
+            try:
+                worker.conn.send(message)
+                return worker
+            except OSError:  # it died while idle
+                self.retire(worker)
+        parent_conn, child_conn = self._context.Pipe()
+        inherited = [parent_conn] + [w.conn for w in self._workers]
+        process = self._context.Process(
+            target=_worker_main, args=(child_conn, inherited), daemon=True
+        )
+        process.start()
+        child_conn.close()  # keep exactly one child end so EOF means death
+        worker = _Worker(process, parent_conn)
+        self._workers.append(worker)
+        worker.conn.send(message)
+        return worker
+
+    def release(self, worker: _Worker) -> None:
+        self._idle.append(worker)
+
+    def retire(self, worker: _Worker, kill: bool = True) -> None:
+        """Drop a worker for good; ``kill=False`` for one already exiting."""
+        self._workers.remove(worker)
+        if kill:
+            worker.process.kill()
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        worker.process.join()
+
+    def close(self) -> None:
+        # An idle worker has shipped its last result (and its spans), so
+        # killing it loses nothing.
+        for worker in list(self._workers):
+            self.retire(worker)
+        self._idle.clear()
+
+
+@dataclass
 class _Running:
     task: SupervisedTask
     attempt: int
-    process: Any
-    conn: Any
+    worker: _Worker
     deadline: float | None
     started: float
     prev_sleep: float
@@ -176,6 +279,7 @@ def run_supervised(
     policy: SupervisionPolicy,
     jobs: int,
     validate_rows: Callable[[Any, SupervisedTask], bool] | None = None,
+    pool: WorkerPool | None = None,
 ) -> Iterator[tuple[str, Any]]:
     """Execute tasks under supervision; yield events as units settle.
 
@@ -192,11 +296,19 @@ def run_supervised(
     :class:`CellResult` per task key; other supervised pipelines (the live
     what-if service stages) pass their own validator instead of duplicating
     the envelope.
+
+    Without ``pool`` the call runs on a :class:`WorkerPool` of ``jobs``
+    workers that it closes before returning; a caller-owned ``pool`` stays
+    open and caps the tasks in flight at ``min(jobs, pool.size)``.
+    ``execute`` and every payload cross the pipe, so both must pickle
+    (``execute`` by reference: a module-level function).
     """
     if validate_rows is None:
         validate_rows = _rows_valid
-    context = fork_context()
-    jobs = max(1, jobs)
+    owned = pool is None
+    if pool is None:
+        pool = WorkerPool(jobs)
+    jobs = min(max(1, jobs), pool.size)
     max_attempts = 1 + policy.retries
     # Jitter only spaces out retry launches; results never depend on it.
     jitter = random.Random(0x5EED)
@@ -209,21 +321,13 @@ def run_supervised(
     failures: list[CellFailure] = []
 
     def _launch(task: SupervisedTask, attempt: int, prev_sleep: float) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_child_main,
-            args=(child_conn, execute, task.payload, task.keys, attempt),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # keep exactly one write end so EOF means death
+        worker = pool.submit((execute, task.payload, task.keys, attempt))
         now = time.monotonic()
         deadline = now + policy.cell_timeout if policy.cell_timeout else None
-        running[parent_conn] = _Running(
+        running[worker.conn] = _Running(
             task=task,
             attempt=attempt,
-            process=process,
-            conn=parent_conn,
+            worker=worker,
             deadline=deadline,
             started=now,
             prev_sleep=prev_sleep,
@@ -258,13 +362,6 @@ def run_supervised(
         failures.extend(unit_failures)
         return ("failures", unit_failures)
 
-    def _reap(entry: _Running) -> None:
-        try:
-            entry.conn.close()
-        except OSError:
-            pass
-        entry.process.join()
-
     try:
         while queue or running:
             now = time.monotonic()
@@ -285,27 +382,29 @@ def run_supervised(
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
-                    _reap(entry)
-                    code = entry.process.exitcode
+                    pool.retire(entry.worker, kill=False)
+                    code = entry.worker.process.exitcode
                     event = _settle(entry, "crash", f"worker died with exit code {code}")
                 else:
-                    _reap(entry)
                     if (
                         isinstance(message, tuple)
                         and len(message) == 2
                         and message[0] == "rows"
                         and validate_rows(message[1], entry.task)
                     ):
+                        pool.release(entry.worker)
                         event = ("rows", message[1])
-                    elif isinstance(message, tuple) and len(message) == 2 and message[0] == "error":
-                        event = _settle(entry, "error", str(message[1]))
                     else:
-                        event = _settle(
-                            entry,
-                            "corrupt",
-                            "worker returned a corrupt payload "
-                            f"({_describe_payload(message)})",
-                        )
+                        pool.retire(entry.worker)
+                        if isinstance(message, tuple) and len(message) == 2 and message[0] == "error":
+                            event = _settle(entry, "error", str(message[1]))
+                        else:
+                            event = _settle(
+                                entry,
+                                "corrupt",
+                                "worker returned a corrupt payload "
+                                f"({_describe_payload(message)})",
+                            )
                 yield event
                 if event[0] == "failures" and len(failures) > policy.max_failures:
                     raise FailureBudgetExceeded(failures, policy.max_failures)
@@ -313,8 +412,7 @@ def run_supervised(
             for conn, entry in list(running.items()):
                 if entry.deadline is not None and now >= entry.deadline:
                     running.pop(conn)
-                    entry.process.kill()
-                    _reap(entry)
+                    pool.retire(entry.worker)
                     event = _settle(
                         entry,
                         "timeout",
@@ -325,9 +423,10 @@ def run_supervised(
                         raise FailureBudgetExceeded(failures, policy.max_failures)
     finally:
         for entry in running.values():
-            entry.process.kill()
-            _reap(entry)
+            pool.retire(entry.worker)
         running.clear()
+        if owned:
+            pool.close()
 
 
 def _rows_valid(rows, task: SupervisedTask) -> bool:

@@ -4,7 +4,9 @@
 loop.  Each *cycle*:
 
 1. **ingest** — every station's trace file is tailed in bounded chunks by a
-   supervised worker; the worker returns an exact integer delta
+   supervised worker (one forked worker serves every stage of the service
+   until an attempt fails, see :func:`~repro.service.pipeline.run_stage`);
+   the worker returns an exact integer delta
    (:class:`~repro.service.streaming.WindowedTraceAccumulator` state) that
    the daemon merges into its master accumulator — bit-identical to having
    ingested the whole trace in one batch, RAM O(windows);
@@ -36,9 +38,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.experiments.supervision import WorkerPool
 from repro.service.pipeline import (
     BoundedWindowQueue,
     CircuitBreaker,
@@ -280,6 +284,9 @@ class WhatIfService:
         self.no_new_cycles = 0
         self.events_total = 0
         self.last_errors: dict = {}
+        # The stage worker pool, made at the first stage; a finalizer stops
+        # its worker when the service is dropped without close().
+        self._workers: WorkerPool | None = None
 
     # ------------------------------------------------------------------
     # Construction / resume
@@ -477,15 +484,38 @@ class WhatIfService:
         import time
 
         done = 0
-        while not self.drain_requested and (cycles is None or done < cycles):
-            before = self.events_total
-            self.run_cycle()
-            done += 1
-            if cycles is None and self.events_total == before and idle_sleep > 0:
-                time.sleep(idle_sleep)
-        self.write_checkpoint()
-        self.write_health()
+        try:
+            while not self.drain_requested and (cycles is None or done < cycles):
+                before = self.events_total
+                self.run_cycle()
+                done += 1
+                if cycles is None and self.events_total == before and idle_sleep > 0:
+                    time.sleep(idle_sleep)
+            self.write_checkpoint()
+            self.write_health()
+        finally:
+            self.close()
         return self.status
+
+    def close(self) -> None:
+        """Stop the stage worker (a later stage forks a new one)."""
+        if self._workers is not None:
+            self._workers.close()
+            self._workers = None
+
+    def _stage(self, key: str, execute, payload: dict) -> StageOutcome:
+        """One supervised stage invocation on the service's stage worker."""
+        if self._workers is None:
+            self._workers = WorkerPool(1)
+            weakref.finalize(self, self._workers.close)
+        return run_stage(
+            key,
+            execute,
+            payload,
+            timeout=self.config.stage_timeout_seconds,
+            retries=self.config.stage_retries,
+            pool=self._workers,
+        )
 
     # ------------------------------------------------------------------
     def _ingest_all(self) -> int:
@@ -500,7 +530,7 @@ class WhatIfService:
             key = f"service/ingest/{name}"
             counter = f"ingest/{name}"
             self.invocations[counter] += 1
-            outcome = run_stage(
+            outcome = self._stage(
                 key,
                 execute_ingest,
                 {
@@ -513,8 +543,6 @@ class WhatIfService:
                     "window_ticks": self.config.window_ticks,
                     "ticks_per_second": self.config.ticks_per_second,
                 },
-                timeout=self.config.stage_timeout_seconds,
-                retries=self.config.stage_retries,
             )
             self.stats["ingest"].retried += outcome.retries
             if not outcome.ok:
@@ -580,13 +608,7 @@ class WhatIfService:
             self.refits_failed_since_good += 1
             self.last_errors["fit"] = f"[error] {error}"
             return
-        outcome = run_stage(
-            "service/fit",
-            execute_fit,
-            fit_payload,
-            timeout=self.config.stage_timeout_seconds,
-            retries=self.config.stage_retries,
-        )
+        outcome = self._stage("service/fit", execute_fit, fit_payload)
         self.stats["fit"].retried += outcome.retries
         if not outcome.ok:
             self.stats["fit"].failed += 1
@@ -607,7 +629,7 @@ class WhatIfService:
             self.refits_failed_since_good += 1
             return
         self.invocations["solve"] += 1
-        solve_outcome = run_stage(
+        solve_outcome = self._stage(
             "service/solve",
             execute_solve,
             {
@@ -616,8 +638,6 @@ class WhatIfService:
                 "model": model,
                 "populations": [int(p) for p in self.config.populations],
             },
-            timeout=self.config.stage_timeout_seconds,
-            retries=self.config.stage_retries,
         )
         self.stats["solve"].retried += solve_outcome.retries
         if not solve_outcome.ok:

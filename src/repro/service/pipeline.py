@@ -1,14 +1,17 @@
 """Supervised service stages: breakers, bounded queues, worker functions.
 
 Each pipeline stage of the live service (ingest → fit → solve) executes in
-its own worker process under the experiment framework's supervision
+a forked worker process under the experiment framework's supervision
 envelope (:func:`repro.experiments.supervision.run_supervised` — per-stage
 wall-clock timeout, bounded retries with jittered backoff, crash
 isolation).  The service does not duplicate that machinery; it wraps one
 :class:`SupervisedTask` per stage invocation, passes its own row validator,
 and sets the failure budget effectively infinite — a stage that exhausts
 its retries becomes a :class:`StageOutcome` the daemon degrades on, never
-an aborted run.
+an aborted run.  All stages of one service share a single-worker
+:class:`~repro.experiments.supervision.WorkerPool`, so a healthy service
+forks one worker for its lifetime; a failed attempt retires that worker
+and the next attempt forks a fresh one.
 
 Two small deterministic mechanisms complete the self-healing story:
 
@@ -45,6 +48,7 @@ from repro.experiments.faults import active_directives, matching_directive
 from repro.experiments.supervision import (
     SupervisedTask,
     SupervisionPolicy,
+    WorkerPool,
     run_supervised,
 )
 from repro.service.registry import map_from_payload, map_to_payload
@@ -220,6 +224,7 @@ def run_stage(
     payload: dict,
     timeout: float | None,
     retries: int,
+    pool: WorkerPool,
 ) -> StageOutcome:
     """Run one stage invocation under the shared supervision envelope.
 
@@ -227,6 +232,8 @@ def run_stage(
     retry backoff, crash classification); the effectively-infinite failure
     budget turns "retries exhausted" into a returned outcome instead of a
     raised :class:`FailureBudgetExceeded` — degrading is the daemon's job.
+    The stage runs on ``pool``'s worker: the service passes its own
+    single-worker pool, kept across stages and cycles.
     """
     task = SupervisedTask(payload=payload, keys=(key,), cells=((key, "service", 0, 0),))
     policy = SupervisionPolicy(
@@ -240,7 +247,7 @@ def run_stage(
     retried = 0
     failure = None
     for event, data in run_supervised(
-        [task], execute, policy, jobs=1, validate_rows=_service_rows_valid
+        [task], execute, policy, jobs=1, validate_rows=_service_rows_valid, pool=pool
     ):
         if event == "rows":
             value = data[0][1]

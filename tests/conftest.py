@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,20 @@ from repro.maps import (
     map2_from_moments_and_decay,
     map2_hyperexponential_renewal,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_workers():
+    """Fail the session if any forked worker outlives the tests.
+
+    Worker pools are closed by their owners (a run, or a service's
+    ``close``/finalizer); ``gc.collect`` first drops services that only a
+    reference cycle still holds.
+    """
+    yield
+    gc.collect()
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"worker processes still running at session end: {leaked}"
 
 
 @pytest.fixture

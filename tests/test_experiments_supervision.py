@@ -12,6 +12,8 @@ left in a resumable ``partial`` state.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -38,6 +40,8 @@ from repro.experiments.faults import (
     active_directives,
     matching_directive,
 )
+from repro.experiments.supervision import SupervisedTask, WorkerPool, run_supervised
+from repro.service import ServiceConfig, WhatIfService, synthesize_service_trace
 
 
 def small_spec(name="supervised_unit") -> ScenarioSpec:
@@ -331,3 +335,87 @@ class TestUnknownFaultKinds:
             ).kind
             == "fit-diverge"
         )
+
+
+def _worker_pid(payload):
+    """Module-level (so it pickles by reference): report the serving pid."""
+    return [(payload, os.getpid())]
+
+
+def _pid_tasks(*keys):
+    return [SupervisedTask(payload=key, keys=(key,), cells=((key, "pid", 0, 0),)) for key in keys]
+
+
+def _run_pids(tasks, jobs=1, pool=None, **policy):
+    """``{key: pid}`` of the worker that returned each unit's rows, and the
+    number of retries."""
+    pids, retries = {}, 0
+    for event, data in run_supervised(
+        tasks, _worker_pid, fast_policy(**policy), jobs,
+        validate_rows=lambda rows, task: True, pool=pool,
+    ):
+        if event == "rows":
+            pids.update(data)
+        elif event == "retry":
+            retries += 1
+        else:
+            raise AssertionError(f"unexpected event {event}: {data}")
+    return pids, retries
+
+
+class TestWorkerLifecycle:
+    def test_workers_serve_many_units(self):
+        pids, retries = _run_pids(_pid_tasks(*(f"unit-{i}" for i in range(8))), jobs=2)
+        assert retries == 0
+        assert len(pids) == 8
+        assert 1 <= len(set(pids.values())) <= 2
+        assert os.getpid() not in pids.values()
+        assert multiprocessing.active_children() == []  # the run joined them
+
+    @pytest.mark.parametrize("kind", ["crash", "hang", "error"])
+    def test_failed_attempt_retires_its_worker(self, kind, monkeypatch):
+        # One worker: "first" leaves it idle, the failing first attempt of
+        # "second" runs on it, and the retry must come from a fresh fork.
+        monkeypatch.setenv(FAULT_ENV, f"{kind}:second:1")
+        pids, retries = _run_pids(_pid_tasks("first", "second"), cell_timeout=1.0)
+        assert retries == 1
+        assert pids["first"] != pids["second"]
+
+    def test_fault_spec_follows_the_dispatcher(self, monkeypatch):
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        pool = WorkerPool(1)
+        try:
+            first, retries = _run_pids(_pid_tasks("before"), pool=pool)
+            assert retries == 0
+            # Set after the worker was forked: the next task carries it.
+            monkeypatch.setenv(FAULT_ENV, "error:after:1")
+            second, retries = _run_pids(_pid_tasks("after"), pool=pool)
+            assert retries == 1
+            assert second["after"] != first["before"]
+        finally:
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+    def test_service_cycles_share_one_worker(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(FAULT_ENV, raising=False)
+        traces = {}
+        for name, seed in (("front", 1), ("db", 2)):
+            traces[name] = str(tmp_path / f"{name}.trace")
+            synthesize_service_trace(
+                traces[name], events=12000, mean_service=0.02, scv=4.0,
+                utilization=0.5, seed=seed,
+            )
+        config = ServiceConfig(
+            name="lifecycle", traces=traces, think_time=1.0, populations=(1, 2),
+            chunk_events=2000, max_chunks_per_cycle=1, refit_windows=20,
+            fit_horizon_windows=200, min_fit_windows=60, estimator={"min_windows": 40},
+        )
+        service = WhatIfService.open(config, tmp_path / "state")
+        pids = set()
+        for _ in range(5):
+            service.run_cycle()
+            pids.update(child.pid for child in multiprocessing.active_children())
+        assert service.stats["fit"].ok >= 1  # fit and solve ran, not only ingest
+        assert len(pids) == 1
+        service.close()
+        assert multiprocessing.active_children() == []

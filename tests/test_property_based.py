@@ -16,7 +16,10 @@ from repro.core.map_fitting import (
 )
 from repro.maps.map2 import map2_from_moments_and_decay
 from repro.maps.ph import hyperexp_rates_from_moments, hyperexponential_ph
+from repro.maps.map2 import map2_exponential
 from repro.queueing.bounds import asymptotic_throughput_bounds, balanced_job_bounds
+from repro.queueing.ctmc import SolveStats, steady_state_distribution
+from repro.queueing.map_network import MapClosedNetworkSolver
 from repro.queueing.mva import mva_closed_network
 from repro.simulation.trace_queue import simulate_gtrace1
 from repro.traces.burstiness import impose_burstiness
@@ -144,6 +147,41 @@ class TestClosedFormFitMatchesFullGrid:
                 assert getattr(fit, field.name) == getattr(reference, field.name), field.name
         assert np.array_equal(fit.map.D0, reference.map.D0)
         assert np.array_equal(fit.map.D1, reference.map.D1)
+
+
+class TestDirectSolveMatchesDenseLU:
+    """The no-pivot natural-order LU is accepted at every rate scale.
+
+    The reference is LAPACK's dense LU with partial pivoting.  The
+    ``ilu_krylov`` tier is no reference at this tolerance: its stopping
+    rule is relative to ``|b| = 1``, and it lands 1e-10 (rates ~1) to 5e-8
+    (rates ~1e-2) away from both direct solves.
+    """
+
+    @given(
+        mean=means,
+        scv=st.floats(min_value=1.0, max_value=30.0),
+        decay=st.floats(min_value=0.0, max_value=0.95),
+        population=st.integers(min_value=2, max_value=12),
+    )
+    @example(mean=1e-3, scv=30.0, decay=0.95, population=12)
+    @example(mean=100.0, scv=30.0, decay=0.95, population=12)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_direct_is_accepted_and_matches_dense_lu(self, mean, scv, decay, population):
+        solver = MapClosedNetworkSolver(
+            front_service=map2_exponential(mean),
+            db_service=map2_from_moments_and_decay(0.75 * mean, scv, decay),
+            think_time=2.0 * mean,
+        )
+        generator = solver._build_generator(population)
+        stats = SolveStats()
+        direct = steady_state_distribution(generator, prefer="direct", stats=stats)
+        assert [(a.strategy, a.accepted) for a in stats.attempts] == [("direct", True)]
+        balance = generator.T.toarray()
+        balance[-1, :] = 1.0
+        rhs = np.zeros(generator.shape[0])
+        rhs[-1] = 1.0
+        assert np.abs(direct - np.linalg.solve(balance, rhs)).max() <= 1e-10
 
 
 class TestMVAProperties:
