@@ -23,9 +23,9 @@ runner:
   backoff, crash isolation and a failure budget, with deterministic fault
   injection (:mod:`~repro.experiments.faults`) for chaos tests,
 * :mod:`~repro.experiments.fleet` — crash-tolerant distributed campaigns:
-  a file-backed work queue inside the run directory, leased stateless
-  workers (atomic lease files, heartbeats, exactly-once commit markers)
-  and a draining supervisor — ``run --backend fleet`` and the async
+  a file-backed work queue inside the run directory, claim loops that
+  run leased units on the worker pool (atomic lease files, heartbeats,
+  exactly-once commit markers) and a draining supervisor — ``run --backend fleet`` and the async
   ``fleet submit/work/status/fetch/workers`` CLI verbs,
 * :mod:`~repro.experiments.packs` — scenario *packs*: JSON spec files
   (``scenarios/*.json``) validated and run directly from the CLI,

@@ -68,8 +68,10 @@ aborted (completed rows remain cached for resume); ``2`` — usage errors.
 
 ``run --backend fleet`` routes the same contract through the
 **crash-tolerant distributed backend** (:mod:`repro.experiments.fleet`):
-``--workers`` leased stateless worker processes share the run directory
-through an on-disk work queue, survive SIGKILL of any worker, and drain
+a claim loop leases units from an on-disk work queue in the run directory
+and runs them on ``--workers`` pool children (``--cell-timeout`` bounds each
+attempt as on the pool, ``--lease-timeout`` bounds heartbeat silence),
+survives SIGKILL of any child or of the supervisor, and drains
 gracefully (resumable ``status: "partial"`` manifest, leases released) when
 the supervisor receives SIGINT/SIGTERM — which exits ``1`` like an exceeded
 budget.  The ``fleet`` subcommands operate the queue asynchronously:
@@ -237,7 +239,7 @@ def _add_runner_arguments(command) -> None:
         default=None,
         metavar="SECONDS",
         help="kill a work unit's worker after this many wall-clock seconds "
-        "per attempt (default: no timeout)",
+        "per attempt, on either backend (default: no timeout)",
     )
     command.add_argument(
         "--retries",
@@ -259,7 +261,7 @@ def _add_runner_arguments(command) -> None:
         choices=EXECUTION_BACKENDS,
         default="pool",
         help="execution backend: 'pool' — supervisor-owned worker processes "
-        "(default); 'fleet' — leased stateless workers over the on-disk "
+        "(default); 'fleet' — the same workers behind a leased on-disk "
         "work queue (crash-tolerant, requires the cache)",
     )
     _add_fleet_policy_arguments(command)
@@ -278,7 +280,8 @@ def _add_fleet_policy_arguments(command) -> None:
         default=None,
         metavar="SECONDS",
         help="seconds without a lease heartbeat before a fleet unit is "
-        "reaped and requeued (fleet backend; default: 30)",
+        "reaped and requeued: a liveness bound, not a compute bound "
+        "(fleet backend; default: 30)",
     )
 
 
@@ -563,12 +566,16 @@ def _format_bytes(num_bytes: float) -> str:
 
 
 def _supervision_from_args(args) -> SupervisionPolicy | None:
-    """A policy when any supervision flag was given, else ``None`` (defaults)."""
-    if args.cell_timeout is None and args.retries is None and args.max_failures is None:
+    """A policy when any supervision flag was given, else ``None`` (defaults).
+
+    The ``fleet`` subcommands have no ``--cell-timeout``.
+    """
+    cell_timeout = getattr(args, "cell_timeout", None)
+    if cell_timeout is None and args.retries is None and args.max_failures is None:
         return None
     defaults = SupervisionPolicy()
     return SupervisionPolicy(
-        cell_timeout=args.cell_timeout,
+        cell_timeout=cell_timeout,
         retries=args.retries if args.retries is not None else defaults.retries,
         max_failures=(
             args.max_failures if args.max_failures is not None else defaults.max_failures
@@ -579,25 +586,17 @@ def _supervision_from_args(args) -> SupervisionPolicy | None:
 def _fleet_policy_from_args(args) -> FleetPolicy:
     """Fleet knobs from CLI flags; unset flags keep the policy defaults.
 
-    ``--jobs`` and ``--cell-timeout`` (present on ``run``/``sweep`` but not
-    on the ``fleet`` subcommands) double as fallbacks for ``--workers`` and
-    ``--lease-timeout``, so ``run --backend fleet --jobs 4`` does what it
+    The supervision flags mean what they mean on the pool backend
+    (``--cell-timeout`` bounds one attempt's compute), ``--lease-timeout``
+    is the separate liveness bound, and ``--jobs`` (present on
+    ``run``/``sweep`` but not on the ``fleet`` subcommands) is the fallback
+    for ``--workers``, so ``run --backend fleet --jobs 4`` does what it
     reads like.
     """
-    defaults = FleetPolicy()
-    retries = getattr(args, "retries", None)
-    max_failures = getattr(args, "max_failures", None)
-    workers = args.workers
-    if workers is None:
-        workers = getattr(args, "jobs", None) or defaults.workers
-    lease_timeout = args.lease_timeout
-    if lease_timeout is None:
-        lease_timeout = getattr(args, "cell_timeout", None) or defaults.lease_timeout
-    return FleetPolicy(
-        workers=workers,
-        lease_timeout=lease_timeout,
-        max_attempts=1 + retries if retries is not None else defaults.max_attempts,
-        max_failures=max_failures if max_failures is not None else defaults.max_failures,
+    return FleetPolicy.from_supervision(
+        _supervision_from_args(args),
+        workers=args.workers or getattr(args, "jobs", None),
+        lease_timeout=args.lease_timeout,
     )
 
 

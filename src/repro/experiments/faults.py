@@ -16,16 +16,17 @@ Grammar: ``;``-separated directives, each ``kind:pattern[:max_attempts]``.
     the worker raises ``InjectedFault``, ``corrupt`` — the worker returns a
     structurally broken payload the parent must reject.
 
-    Three further kinds target the distributed fleet backend
-    (:mod:`repro.experiments.fleet`): ``worker-kill`` — the claiming worker
-    SIGKILLs its own process (simulates an OOM-killed or power-cycled host;
-    the supervisor reaps the orphaned lease), ``lease-stall`` — the worker
-    stops heartbeating while holding its lease (simulates a hung host; the
-    lease expires, another worker re-claims the unit, and the stalled
-    worker, now fenced, must abandon the unit without committing),
-    ``double-claim`` — the worker deliberately ignores an existing lease
-    and executes the unit anyway (the exactly-once commit marker must make
-    one of the two writers discard its result).
+    The fleet backend (:mod:`repro.experiments.fleet`) runs its units on
+    the same worker pool, so these four kinds apply to fleet units too.
+    Three further kinds target the fleet's claim loop itself:
+    ``worker-kill`` — the loop SIGKILLs the pool child it just submitted
+    the unit to (simulates an OOM-killed worker; the loop sees the death as
+    a ``crash``), ``lease-stall`` — the loop holds the claim but never
+    runs, heartbeats or commits it (simulates a hung host; the lease
+    expires, a reaper charges the attempt and the unit is re-claimed),
+    ``double-claim`` — the loop deliberately ignores an existing lease and
+    executes the unit anyway (the exactly-once commit marker must make one
+    of the two writers discard its result).
 
     Three further kinds target the live what-if service
     (:mod:`repro.service`): ``fit-diverge`` — the fit stage raises a typed
@@ -42,7 +43,8 @@ Grammar: ``;``-separated directives, each ``kind:pattern[:max_attempts]``.
 
     Each execution context only honours the kinds it understands (see
     :func:`matching_directive`'s ``kinds`` filter), so a fleet or service
-    spec is inert under the pool runner and vice versa.
+    spec is inert under the pool runner, and a pool spec reaches fleet
+    units only through their pool children.
 ``pattern``
     matched as a substring of the cell key
     (``scenario/solver_label/params/repN``); ``*`` matches every cell.
@@ -94,14 +96,9 @@ FAULT_KINDS = (
 #: Kinds the per-cell supervision envelope (pool backend) interprets.
 POOL_FAULT_KINDS = frozenset({"crash", "hang", "error", "corrupt"})
 
-#: Kinds the distributed fleet workers interpret.  ``hang`` and ``corrupt``
-#: are pool-only: a fleet worker heartbeats through a hung solve (so the
-#: lease never expires — ``lease-stall`` is the fleet-shaped hang), and its
-#: commit path validates records locally rather than shipping them over a
-#: pipe.
-FLEET_FAULT_KINDS = frozenset(
-    {"crash", "error", "worker-kill", "lease-stall", "double-claim"}
-)
+#: Kinds the fleet's claim loop interprets.  The pool kinds are not among
+#: them, because fleet units run on the pool, whose children perform those.
+FLEET_FAULT_KINDS = frozenset({"worker-kill", "lease-stall", "double-claim"})
 
 #: Kinds the live what-if service stages interpret (see :mod:`repro.service`).
 #: Each stage additionally narrows to the kinds that make sense for it —
@@ -182,8 +179,8 @@ def matching_directive(
 
     ``kinds`` restricts the match to the fault kinds the calling execution
     context knows how to perform — a ``worker-kill`` directive must not be
-    swallowed (and silently ignored) by a pool worker, nor a ``hang`` by a
-    fleet worker.
+    swallowed (and silently ignored) by a pool worker, nor a ``hang`` by
+    the fleet's claim loop.
     """
     for directive in directives:
         if kinds is not None and directive.kind not in kinds:

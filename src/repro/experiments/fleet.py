@@ -9,7 +9,7 @@ directory::
 
     <cache-dir>/<scenario>-<spec-hash>/
         manifest.json            # merged result (the cache layer's document)
-        <cell-slug>-<h>.npz      # artifact side-files, written by workers
+        <cell-slug>-<h>.npz      # artifact side-files, written by fleet workers
         .fleet/
             campaign.json        # unit list + policy, written by the supervisor
             leases/<unit>.json   # at most one per unit: owner, heartbeat, attempt
@@ -21,19 +21,23 @@ directory::
             workers/<owner>.json # worker heartbeats (for ``fleet workers``)
 
 Everything is plain files with atomic writes, so the fleet needs no broker,
-no sockets and no shared memory — N **stateless worker processes** (local,
-or on any host that shares the cache directory) cooperate purely through the
-queue:
+no sockets and no shared memory — any number of **fleet workers** (the
+claim loop :func:`fleet_worker`, one per supervisor, local or on any host
+that shares the cache directory) cooperate purely through the queue:
 
-* a worker *claims* a unit by creating ``leases/<unit>.json`` with
-  ``O_CREAT | O_EXCL`` (+ fsync) — the filesystem arbitrates races,
-* a heartbeat thread refreshes the lease while the unit computes; the
-  heartbeat re-reads the lease first and treats a foreign owner as a fence,
+* a fleet worker *claims* a unit by creating ``leases/<unit>.json`` with
+  ``O_CREAT | O_EXCL`` (+ fsync) — the filesystem arbitrates races — and
+  runs it on a child of its :class:`~repro.experiments.supervision.WorkerPool`,
+  the pool backend's executor: the child's death, error, corrupt payload or
+  overrun of ``cell_timeout`` is a failed attempt, exactly as in the pool,
+* the loop that waits on those children refreshes every held lease every
+  ``lease_timeout / 4`` (no thread), so a lease goes stale only when its
+  fleet worker stops or dies; the lease ``pid`` is the fleet worker's,
 * a unit *commits* by writing its result shard and then creating the
   ``done/`` marker with ``O_EXCL`` — so even a forced double claim commits
   **exactly once** and the loser discards its result,
-* anyone (worker or supervisor) *reaps* expired leases: a stale heartbeat
-  becomes a ``timeout`` attempt, a dead same-host pid a ``crash`` attempt.
+* every fleet worker *reaps* expired leases: a stale heartbeat becomes a
+  ``timeout`` attempt, a dead same-host pid a ``crash`` attempt.
   The reaper renames the lease to a tombstone, charges the attempt, then
   drops the tombstone, so a claim never reads the count from before the
   charge;
@@ -54,21 +58,22 @@ cache semantics (load → resume → pending → execute → finalize) through t
 runner's one copy of each step: the resume plan
 (:func:`~repro.experiments.runner.resume_plan`, also behind
 :func:`submit_campaign` and :func:`fetch_campaign`), the work units and
-their executor, and the result assembly.  It builds the campaign, spawns the
-local workers, reaps and respawns, and merges committed shards into the
-manifest through :meth:`~repro.experiments.cache.CacheWriter.absorb_record`
-— the same entry the pool's journaled rows take.
-On SIGINT/SIGTERM it drains gracefully: workers are asked to finish their
-current unit, committed shards are merged into a resumable
+their executor, and the result assembly.  It builds the campaign, runs
+:func:`fleet_worker` in-process until the campaign settles, and merges
+committed shards into the manifest through
+:meth:`~repro.experiments.cache.CacheWriter.absorb_record` — the same entry
+the pool's journaled rows take.
+On SIGINT/SIGTERM it drains gracefully: in-flight units get ``drain_grace``
+seconds to finish and commit, committed shards are merged into a resumable
 ``status: "partial"`` manifest, every lease is released, and
 :class:`CampaignInterrupted` propagates (CLI exit code 1).  Killing the
 supervisor outright is also safe — the queue *is* the state, so a later
 supervisor (or a bare :func:`fetch_campaign`) attaches and continues.
 
-Fault injection: fleet workers honour the ``worker-kill``, ``lease-stall``
-and ``double-claim`` kinds of ``REPRO_FAULT_INJECT`` (plus ``crash`` and
-``error``) — see :mod:`repro.experiments.faults` for why ``hang`` and
-``corrupt`` stay pool-only.
+Fault injection: the pool children perform the pool kinds of
+``REPRO_FAULT_INJECT`` (``crash``, ``hang``, ``error``, ``corrupt``) for
+fleet units too; the fleet worker itself performs ``worker-kill``,
+``lease-stall`` and ``double-claim`` (see :mod:`repro.experiments.faults`).
 """
 
 from __future__ import annotations
@@ -97,7 +102,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.faults import (
     FLEET_FAULT_KINDS,
-    InjectedFault,
+    FaultDirective,
     active_directives,
     matching_directive,
 )
@@ -106,14 +111,19 @@ from repro.experiments.results.schema import ExperimentResult
 from repro.experiments.runner import (
     ResumePlan,
     WorkUnit,
+    _execute_payload,
     build_units,
-    execute_unit,
     finish_run,
     resume_plan,
 )
 from repro.experiments.solvers import warm_shared_inputs
 from repro.experiments.spec import ScenarioSpec
-from repro.experiments.supervision import FailureBudgetExceeded, fork_context
+from repro.experiments.supervision import (
+    FailureBudgetExceeded,
+    SupervisionPolicy,
+    WorkerPool,
+    _rows_valid,
+)
 
 __all__ = [
     "CampaignInterrupted",
@@ -129,11 +139,6 @@ logger = logging.getLogger(__name__)
 
 _CAMPAIGN = "campaign.json"
 _CAMPAIGN_FORMAT = 1
-#: Exit code of a worker killed by an injected ``crash`` (mirrors the pool's).
-_CRASH_EXIT_CODE = 73
-#: Safety ceiling for a fence-waiting stalled worker (``lease-stall``): if
-#: nobody reaps the lease within this many timeouts, abandon anyway.
-_STALL_TIMEOUTS = 20.0
 
 
 class CampaignInterrupted(RuntimeError):
@@ -158,15 +163,19 @@ class CampaignInterrupted(RuntimeError):
 @dataclass(frozen=True)
 class FleetPolicy:
     """Knobs of a fleet campaign (CLI: ``--workers``, ``--lease-timeout``,
-    ``--retries``, ``--max-failures``)."""
+    ``--cell-timeout``, ``--retries``, ``--max-failures``)."""
 
-    #: Local worker processes the supervisor spawns.
+    #: Pool children each fleet worker runs units on, so also the most
+    #: units one fleet worker keeps in flight.
     workers: int = 2
-    #: Seconds without a lease heartbeat before the unit is reaped as
-    #: ``timeout`` and requeued.
+    #: Liveness bound: seconds without a lease heartbeat (the fleet worker
+    #: renews its leases every ``lease_timeout / 4``) before the unit is
+    #: reaped as ``timeout`` and requeued.
     lease_timeout: float = 30.0
-    #: Lease heartbeat period; ``None`` means ``lease_timeout / 4``.
-    heartbeat_interval: float | None = None
+    #: Compute bound: wall-clock seconds one attempt of one unit may take
+    #: before its pool child is killed and the attempt settles as
+    #: ``timeout``; ``None`` disables it (as in :class:`SupervisionPolicy`).
+    cell_timeout: float | None = None
     #: Total attempts a unit may consume (first try included) before its
     #: cells become permanent failures — ``1 + retries`` in pool terms.
     max_attempts: int = 3
@@ -176,21 +185,19 @@ class FleetPolicy:
     #: ``min(cap, base * 3**(n-1))``.
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    #: Idle poll period of workers and supervisor.
+    #: Longest wait of a fleet worker's loop between claim attempts.
     poll_interval: float = 0.05
-    #: Seconds a draining supervisor waits for workers to finish their
-    #: current unit before killing them.
+    #: Seconds a draining fleet worker waits for its in-flight units to
+    #: finish and commit before killing their pool children.
     drain_grace: float = 10.0
-    #: How many replacement workers the supervisor may spawn after deaths.
-    max_respawns: int = 8
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
-        if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive when given")
+        if self.cell_timeout is not None and self.cell_timeout <= 0:
+            raise ValueError("cell_timeout must be positive when given")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.max_failures < 0:
@@ -201,12 +208,30 @@ class FleetPolicy:
             raise ValueError("poll_interval must be positive")
         if self.drain_grace < 0:
             raise ValueError("drain_grace must be >= 0")
-        if self.max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0")
 
-    @property
-    def effective_heartbeat(self) -> float:
-        return self.heartbeat_interval or self.lease_timeout / 4.0
+    @classmethod
+    def from_supervision(
+        cls,
+        supervision: SupervisionPolicy | None,
+        workers: int | None = None,
+        lease_timeout: float | None = None,
+    ) -> "FleetPolicy":
+        """The fleet policy of a run whose other knobs are the pool's.
+
+        ``cell_timeout`` stays the per-attempt compute bound, ``retries``
+        become ``max_attempts``; ``None`` leaves a policy default.
+        """
+        supervision = supervision or SupervisionPolicy()
+        defaults = cls()
+        return cls(
+            workers=workers or defaults.workers,
+            lease_timeout=lease_timeout or defaults.lease_timeout,
+            cell_timeout=supervision.cell_timeout,
+            max_attempts=1 + supervision.retries,
+            max_failures=supervision.max_failures,
+            backoff_base=supervision.backoff_base,
+            backoff_cap=supervision.backoff_cap,
+        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -389,14 +414,18 @@ class FleetQueue:
             "not_before": float(payload.get("not_before", 0.0)),
         }
 
-    def claim_next(self, owner: str) -> tuple[_Claim | None, bool]:
-        """Try to claim one unit; returns ``(claim, campaign_busy)``.
+    def claim_next(
+        self, owner: str, exclude: frozenset[str] = frozenset()
+    ) -> tuple[_Claim | None, bool]:
+        """Try to claim one unit not in ``exclude``; returns ``(claim, campaign_busy)``.
 
         ``campaign_busy`` is True while any unit is unsettled — a worker
         that got no claim should poll again (units may be leased elsewhere
         or backing off) rather than exit.  Expired leases encountered during
         the scan are reaped opportunistically, so claiming makes progress
-        even without a supervisor.
+        even without a supervisor.  ``exclude`` holds the units the caller
+        already has in flight, which a ``double-claim`` fault would
+        otherwise take again.
         """
         directives = active_directives()
         busy = False
@@ -411,6 +440,8 @@ class FleetQueue:
             if self._settled(unit.id):
                 continue
             busy = True
+            if unit.id in exclude:
+                continue
             self._reap_lease_if_expired(unit.id, now)
             # The lease, then the tombstone, then the count: a reaper drops
             # its tombstone only once the charge is on disk, so a unit found
@@ -424,14 +455,7 @@ class FleetQueue:
                 continue
             attempt = state["attempts"] + 1
             if held:
-                directive = None
-                for key in unit.keys:
-                    directive = matching_directive(
-                        directives, key, attempt, kinds=FLEET_FAULT_KINDS
-                    )
-                    if directive is not None:
-                        break
-                if directive is not None and directive.kind == "double-claim":
+                if _fleet_fault(directives, unit, attempt) == "double-claim":
                     logger.warning(
                         "fleet: %s double-claiming unit %s despite a foreign "
                         "lease (injected fault)", owner, unit.id,
@@ -459,25 +483,24 @@ class FleetQueue:
             "lease_timeout": self.policy.lease_timeout,
         }
 
-    def heartbeat_lease(self, unit_id: str, owner: str, attempt: int) -> bool:
-        """Refresh a held lease; False when fenced (lost / foreign owner).
+    def heartbeat_lease(self, unit_id: str, owner: str, attempt: int) -> None:
+        """Refresh a held lease, if (best-effort) still ours.
 
-        Best-effort fencing: the lease is re-read first and a foreign owner
-        (or a missing file — the lease was reaped) stops the heartbeat.  The
-        read-then-replace pair is not atomic, so the ``done/`` marker — not
-        the lease — remains the only commit authority.
+        The lease is re-read first: a foreign owner or a missing file (the
+        lease was reaped) is left alone.  The read-then-replace pair is not
+        atomic, so the ``done/`` marker — not the lease — remains the only
+        commit authority.
         """
         path = self._lease_path(unit_id)
         payload = _read_json(path)
         if not isinstance(payload, dict) or payload.get("owner") != owner:
-            return False
+            return
         payload["heartbeat"] = time.time()
         payload["attempt"] = attempt
         try:
             _write_json_atomic(path, payload)
         except OSError:
-            return False
-        return True
+            pass
 
     def release_lease(self, unit_id: str, owner: str) -> None:
         """Drop a lease if (best-effort) still ours."""
@@ -532,11 +555,6 @@ class FleetQueue:
         else:
             heartbeat = float(payload.get("heartbeat", 0.0))
             timeout = float(payload.get("lease_timeout", self.policy.lease_timeout))
-            if (self.done / f"{unit_id}.json").exists():
-                # Committed but the lease lingered (e.g. killed between
-                # commit and release): just clean up, no attempt charged.
-                self._unlink_once(path)
-                return 0
             if now - heartbeat > timeout:
                 kind = "timeout"
                 message = (
@@ -554,6 +572,12 @@ class FleetQueue:
                     "died holding the lease; unit requeued"
                 )
             else:
+                return 0
+            if (self.done / f"{unit_id}.json").exists():
+                # Committed, but its holder died or went silent before the
+                # release: just clean up, no attempt charged.  A live lease
+                # of a committed unit is its holder's to release.
+                path.unlink(missing_ok=True)
                 return 0
         # Whoever wins the rename charges the failed attempt — losers of the
         # race find no lease and must not double-charge.  The tombstone keeps
@@ -589,14 +613,6 @@ class FleetQueue:
             except OSError:
                 return
         tombstone.unlink(missing_ok=True)
-
-    @staticmethod
-    def _unlink_once(path: Path) -> bool:
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            return False
-        return True
 
     def record_attempt_failure(self, unit_id: str, kind: str, message: str) -> None:
         """Charge one failed attempt; at ``max_attempts`` settle as failed.
@@ -707,18 +723,27 @@ class FleetQueue:
             if isinstance(payload, dict) and isinstance(payload.get("cells"), list):
                 yield unit, payload["cells"]
 
+    def failures(self) -> list[CellFailure]:
+        """Every permanently failed cell of the campaign."""
+        return [
+            CellFailure.from_dict(record)
+            for _unit, records in self.failure_records()
+            for record in records
+        ]
+
     # ------------------------------------------------------------------
     # Worker presence + status
     # ------------------------------------------------------------------
-    def update_worker(self, owner: str, state: str, unit_id: str | None = None) -> None:
-        """Refresh this worker's heartbeat file (``fleet workers``, gc)."""
+    def update_worker(self, owner: str, state: str, units: str | None = None) -> None:
+        """Refresh this worker's heartbeat file (``fleet workers``, gc);
+        ``units`` names the units in flight."""
         try:
             _write_json_atomic(self.workers / f"{owner}.json", {
                 "owner": owner,
                 "pid": os.getpid(),
                 "host": self.host,
                 "state": state,
-                "unit": unit_id,
+                "unit": units,
                 "heartbeat": time.time(),
                 "lease_timeout": self.policy.lease_timeout,
             })
@@ -775,31 +800,14 @@ class FleetQueue:
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
-class _Heartbeat:
-    """Background lease refresher; ``fenced`` is set when ownership is lost."""
-
-    def __init__(self, queue: FleetQueue, unit_id: str, owner: str,
-                 attempt: int, interval: float) -> None:
-        self.fenced = threading.Event()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, args=(queue, unit_id, owner, attempt, interval),
-            daemon=True,
-        )
-
-    def start(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _run(self, queue, unit_id, owner, attempt, interval) -> None:
-        while not self._stop.wait(interval):
-            if not queue.heartbeat_lease(unit_id, owner, attempt):
-                self.fenced.set()
-                return
+def _fleet_fault(directives: tuple[FaultDirective, ...], unit: WorkUnit,
+                 attempt: int) -> str | None:
+    """The fleet fault kind injected into this attempt of ``unit``, if any."""
+    for key in unit.keys:
+        directive = matching_directive(directives, key, attempt, kinds=FLEET_FAULT_KINDS)
+        if directive is not None:
+            return directive.kind
+    return None
 
 
 def fleet_worker(
@@ -808,123 +816,102 @@ def fleet_worker(
     owner: str | None = None,
     drain: threading.Event | None = None,
 ) -> int:
-    """Claim-execute-commit loop of one stateless worker; returns units committed.
+    """Claim-execute-commit loop of one fleet worker; returns units committed.
 
-    Runs until the campaign settles (every unit done or failed) or ``drain``
-    is set (the graceful-shutdown path: the current unit is finished and
-    committed, the lease released, then the loop exits).  Safe to run many
-    times concurrently — all coordination goes through :class:`FleetQueue`.
+    Claimed units run on a :class:`WorkerPool` of ``policy.workers``
+    children, at most that many in flight.  Each turn reaps expired leases,
+    claims while a child is free, then waits for a result, a cell deadline,
+    the next lease heartbeat (every ``lease_timeout / 4``) or
+    ``poll_interval``, whichever comes first.  Valid rows are persisted and
+    committed; a crash, error, corrupt payload or timeout charges the
+    attempt and releases the lease.  The loop ends when the campaign
+    settles, or — after giving in-flight units ``drain_grace`` seconds to
+    finish and commit — when ``drain`` is set or more cells failed than
+    ``max_failures`` allows.  Safe to run many times concurrently, on any
+    host sharing the run directory: all coordination goes through
+    :class:`FleetQueue`.
     """
     queue = FleetQueue(entry_dir)
     policy = queue.policy
     owner = owner or f"{queue.host}-{os.getpid()}"
     drain = drain or threading.Event()
     directives = active_directives()
+    spec_dict = spec.to_dict()
+    beat = policy.lease_timeout / 4.0
+    pool = WorkerPool(policy.workers)
+    inflight: dict = {}  # pool worker -> _Claim
     committed = 0
+    next_beat = time.monotonic() + beat
+    stop_by = None
+
+    def valid(worker, rows) -> bool:
+        return _rows_valid(rows, inflight[worker].unit)
+
     queue.update_worker(owner, "idle")
     try:
-        while not drain.is_set():
-            claim, busy = queue.claim_next(owner)
-            if claim is None:
+        while True:
+            queue.reap_expired()
+            now = time.monotonic()
+            if stop_by is None and (
+                drain.is_set() or len(queue.failures()) > policy.max_failures
+            ):
+                stop_by = now + policy.drain_grace
+            if stop_by is not None:
+                if not inflight or now >= stop_by:
+                    break
+            else:
+                busy = True
+                while len(inflight) < policy.workers:
+                    exclude = frozenset(c.unit.id for c in inflight.values())
+                    claim, busy = queue.claim_next(owner, exclude)
+                    if claim is None:
+                        break
+                    fault = _fleet_fault(directives, claim.unit, claim.attempt)
+                    if fault == "lease-stall":
+                        # Simulated hung host: hold the lease but never run,
+                        # heartbeat or look at it again, so the reaper
+                        # requeues the unit (a drain releases the lease).
+                        logger.warning("fleet: %s stalling on unit %s (injected fault)",
+                                       owner, claim.unit.id)
+                        continue
+                    worker = pool.submit(
+                        (_execute_payload, (spec_dict, claim.unit.to_dict(), True),
+                         claim.unit.keys, claim.attempt),
+                        policy.cell_timeout,
+                    )
+                    if fault == "worker-kill":
+                        # Simulated OOM kill: the wait below sees the EOF.
+                        os.kill(worker.process.pid, signal.SIGKILL)
+                    inflight[worker] = claim
                 if not busy:
                     break
-                queue.update_worker(owner, "idle")
-                drain.wait(policy.poll_interval)
-                continue
-            unit, attempt = claim.unit, claim.attempt
-            queue.update_worker(owner, "executing", unit.id)
-            directive = None
-            for key in unit.keys:
-                directive = matching_directive(
-                    directives, key, attempt, kinds=FLEET_FAULT_KINDS
-                )
-                if directive is not None:
-                    break
-            if directive is not None and directive.kind == "worker-kill":
-                # Simulated OOM-kill / power loss: die without cleanup; the
-                # lease goes stale and a reaper requeues the unit.
-                os.kill(os.getpid(), signal.SIGKILL)
-            if directive is not None and directive.kind == "crash":
-                os._exit(_CRASH_EXIT_CODE)
-            if directive is not None and directive.kind == "lease-stall":
-                _stall_until_fenced(queue, unit.id, owner, policy, drain)
-                continue
-            heartbeat = None
-            if not claim.rogue:
-                heartbeat = _Heartbeat(
-                    queue, unit.id, owner, attempt, policy.effective_heartbeat
-                ).start()
-            try:
-                if directive is not None and directive.kind == "error":
-                    raise InjectedFault(
-                        f"injected error for {unit.keys[0]!r} (attempt {attempt})"
-                    )
-                records = [
-                    manifest_record(key, persist_row(queue.entry_dir, key, row))
-                    for key, row in execute_unit(spec, unit)
-                ]
-            except InjectedFault as error:
-                if heartbeat is not None:
-                    heartbeat.stop()
-                queue.record_attempt_failure(unit.id, "error", str(error))
-                queue.release_lease(unit.id, owner)
-                continue
-            except Exception as error:  # noqa: BLE001 — charge, don't die
-                if heartbeat is not None:
-                    heartbeat.stop()
-                queue.record_attempt_failure(
-                    unit.id, "error", f"{type(error).__name__}: {error}"
-                )
-                queue.release_lease(unit.id, owner)
-                continue
-            if heartbeat is not None:
-                heartbeat.stop()
-            if queue.commit(unit, owner, records):
-                committed += 1
-            if not claim.rogue:
-                queue.release_lease(unit.id, owner)
+            if now >= next_beat:
+                for claim in inflight.values():
+                    if not claim.rogue:
+                        queue.heartbeat_lease(claim.unit.id, owner, claim.attempt)
+                units = " ".join(sorted(c.unit.id for c in inflight.values()))
+                queue.update_worker(owner, "executing" if units else "idle", units or None)
+                next_beat = now + beat
+            timeout = min(policy.poll_interval, max(0.0, next_beat - now))
+            for worker, kind, body in pool.wait(inflight, valid, timeout):
+                claim = inflight.pop(worker)
+                if kind == "rows":
+                    records = [
+                        manifest_record(key, persist_row(queue.entry_dir, key, row))
+                        for key, row in body
+                    ]
+                    committed += queue.commit(claim.unit, owner, records)
+                else:
+                    queue.record_attempt_failure(claim.unit.id, kind, body)
+                if not claim.rogue:
+                    queue.release_lease(claim.unit.id, owner)
     finally:
+        pool.close()
+        for claim in inflight.values():
+            if not claim.rogue:
+                queue.release_lease(claim.unit.id, owner)
         queue.update_worker(owner, "exited")
     return committed
-
-
-def _stall_until_fenced(queue: FleetQueue, unit_id: str, owner: str,
-                        policy: FleetPolicy, drain: threading.Event) -> None:
-    """``lease-stall``: hold the lease without heartbeating until reaped.
-
-    Simulates a hung host.  Once the lease is no longer ours (a reaper
-    expired it and another worker may already own the unit), abandon without
-    committing and without charging an attempt — the reaper charged it.  A
-    drain request un-hangs the simulation (releasing the lease) so graceful
-    shutdown stays fast even mid-fault.
-    """
-    queue.update_worker(owner, "stalled", unit_id)
-    logger.warning("fleet: %s stalling on unit %s (injected fault)", owner, unit_id)
-    deadline = time.time() + _STALL_TIMEOUTS * policy.lease_timeout
-    while time.time() < deadline and not drain.is_set():
-        payload = _read_json(queue._lease_path(unit_id))
-        if not isinstance(payload, dict) or payload.get("owner") != owner:
-            return  # fenced — the unit belongs to someone else now
-        time.sleep(policy.poll_interval)
-    # Nobody reaped us (no supervisor, no peers) or we are draining:
-    # release and move on.
-    queue.release_lease(unit_id, owner)
-
-
-def _worker_entry(entry_dir: str, spec_dict: dict, owner: str) -> None:
-    """Process target for supervisor-spawned workers (SIGTERM drains)."""
-    drain = threading.Event()
-
-    def _on_sigterm(signum, frame):  # noqa: ARG001
-        drain.set()
-
-    try:
-        signal.signal(signal.SIGTERM, _on_sigterm)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the supervisor drains
-    except ValueError:
-        pass  # not the main thread of the process (embedded use)
-    spec = ScenarioSpec.from_dict(spec_dict)
-    fleet_worker(entry_dir, spec, owner=owner, drain=drain)
 
 
 # ----------------------------------------------------------------------
@@ -949,7 +936,7 @@ def run_fleet_campaign(
     policy: FleetPolicy | None = None,
     force: bool = False,
 ) -> ExperimentResult:
-    """Run ``spec`` to completion on a fleet of leased local workers.
+    """Run ``spec`` to completion on an in-process :func:`fleet_worker`.
 
     Mirrors the pool runner's contract: serves/“resumes from” the cache
     exactly like :meth:`ExperimentRunner.run`, raises
@@ -972,18 +959,17 @@ def run_fleet_campaign(
     if not units:
         return _finalize(spec, plan, writer, queue, started, policy)
 
-    # Forked workers inherit the warmed shared inputs instead of recomputing
-    # them once per process.
+    # The pool children fork after this, so they inherit the warmed shared
+    # inputs instead of recomputing them once per process.
     warm_shared_inputs(
         spec, [cell for unit in units if unit.kind == "cell" for cell in unit.cells]
     )
-
-    context = fork_context()
-    spec_dict = spec.to_dict()
+    drain = threading.Event()
     interrupted: list[int] = []
 
     def _on_signal(signum, frame):  # noqa: ARG001
         interrupted.append(signum)
+        drain.set()
 
     previous_handlers = {}
     try:
@@ -991,102 +977,26 @@ def run_fleet_campaign(
             previous_handlers[signum] = signal.signal(signum, _on_signal)
     except ValueError:
         pass  # embedded in a non-main thread: drain only via settle/budget
-
-    processes: list = []
-    spawned = 0
-
-    def _spawn() -> None:
-        nonlocal spawned
-        spawned += 1
-        owner = f"{queue.host}-{os.getpid()}-w{spawned}"
-        process = context.Process(
-            target=_worker_entry, args=(str(queue.entry_dir), spec_dict, owner),
-            daemon=True,
-        )
-        process.start()
-        processes.append(process)
-
     try:
-        for _ in range(min(policy.workers, len(units))):
-            _spawn()
-        respawns = 0
-        while True:
-            if interrupted:
-                _drain(processes, queue, writer, policy, started)
-                status = queue.status()
-                raise CampaignInterrupted(
-                    interrupted[0],
-                    settled=status["done"] + status["failed"],
-                    total=len(units),
-                )
-            queue.reap_expired()
-            status = queue.status()
-            failure_cells = sum(
-                len(records) for _u, records in queue.failure_records()
-            )
-            if failure_cells > policy.max_failures:
-                _drain(processes, queue, writer, policy, started)
-                failures = [
-                    CellFailure.from_dict(record)
-                    for _u, records in queue.failure_records()
-                    for record in records
-                ]
-                raise FailureBudgetExceeded(failures, policy.max_failures)
-            if status["settled"]:
-                break
-            alive = [p for p in processes if p.is_alive()]
-            dead = len(processes) - len(alive)
-            if dead and len(alive) < min(policy.workers, status["pending"] or 1):
-                if respawns < policy.max_respawns:
-                    respawns += 1
-                    logger.warning(
-                        "fleet: %d worker(s) died; respawning (%d/%d)",
-                        dead, respawns, policy.max_respawns,
-                    )
-                    _spawn()
-                elif not alive:
-                    # Out of respawns with no worker left: drain what we
-                    # have into a resumable partial manifest and give up.
-                    _drain(processes, queue, writer, policy, started)
-                    raise RuntimeError(
-                        "fleet: every worker died and the respawn budget "
-                        f"({policy.max_respawns}) is exhausted; partial "
-                        "manifest written"
-                    )
-            time.sleep(policy.poll_interval)
-        for process in processes:
-            process.join(timeout=max(policy.drain_grace, 1.0))
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
+        fleet_worker(queue.entry_dir, spec, drain=drain)
     finally:
         for signum, handler in previous_handlers.items():
-            try:
-                signal.signal(signum, handler)
-            except ValueError:
-                pass
-        for process in processes:
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=1.0)
-
+            signal.signal(signum, handler)  # installed, so on the main thread
+    failures = queue.failures()
+    if interrupted or len(failures) > policy.max_failures:
+        _drain(queue, writer, started)
+        if interrupted:
+            status = queue.status()
+            raise CampaignInterrupted(
+                interrupted[0], settled=status["done"] + status["failed"], total=len(units)
+            )
+        raise FailureBudgetExceeded(failures, policy.max_failures)
     return _finalize(spec, plan, writer, queue, started, policy)
 
 
-def _drain(processes, queue: FleetQueue, writer: CacheWriter,
-           policy: FleetPolicy, started: float) -> None:
-    """Graceful shutdown: drain workers, merge shards, write a resumable
-    partial manifest, release every lease."""
-    for process in processes:
-        if process.is_alive():
-            process.terminate()  # workers drain on SIGTERM
-    deadline = time.time() + policy.drain_grace
-    for process in processes:
-        remaining = max(0.0, deadline - time.time())
-        process.join(timeout=remaining)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=1.0)
+def _drain(queue: FleetQueue, writer: CacheWriter, started: float) -> None:
+    """Merge committed shards into a resumable partial manifest and release
+    every lease."""
     _merge_into_writer(writer, queue)
     writer.write_partial(elapsed_seconds=time.perf_counter() - started)
     released = queue.release_all_leases()

@@ -51,8 +51,8 @@ Execution backends are **pluggable**: the default ``"pool"`` backend fans
 out over supervisor-owned worker processes as described above, while
 ``backend="fleet"`` routes the same load/resume/finalize contract through
 the crash-tolerant distributed work queue of :mod:`repro.experiments.fleet`
-— leased stateless workers sharing the run directory, safe against SIGKILL
-of workers *and* supervisor.  The fleet backend requires a cache directory
+— leased units run on the same worker pool, safe against SIGKILL of
+workers *and* supervisor.  The fleet backend requires a cache directory
 (the queue lives inside the run directory) and produces manifests whose
 :func:`~repro.experiments.cache.manifest_fingerprint` is identical to a
 serial pool run's.  Both backends share one copy of each step, defined
@@ -293,12 +293,12 @@ class ExperimentRunner:
         ``"pool"`` (default) — supervisor-owned worker processes;
         ``"fleet"`` — the distributed work-queue backend of
         :mod:`repro.experiments.fleet` (requires ``cache_dir``; the queue
-        lives inside the run directory).  Retries and the failure budget of
-        ``supervision`` carry over; the per-cell timeout maps onto the
-        fleet's lease timeout.
+        lives inside the run directory).  The per-cell timeout, retries and
+        failure budget of ``supervision`` carry over unchanged.
     fleet:
         Full :class:`~repro.experiments.fleet.FleetPolicy` for the fleet
-        backend; ``None`` derives one from ``jobs`` and ``supervision``.
+        backend; ``None`` derives one from ``jobs`` and ``supervision``
+        (:meth:`~repro.experiments.fleet.FleetPolicy.from_supervision`).
     """
 
     def __init__(
@@ -380,18 +380,7 @@ class ExperimentRunner:
         # Imported lazily: the fleet module builds on this one.
         from repro.experiments.fleet import FleetPolicy, run_fleet_campaign
 
-        policy = self.fleet
-        if policy is None:
-            supervision = self.supervision or SupervisionPolicy()
-            defaults = FleetPolicy()
-            policy = FleetPolicy(
-                workers=self.jobs or defaults.workers,
-                lease_timeout=supervision.cell_timeout or defaults.lease_timeout,
-                max_attempts=1 + supervision.retries,
-                max_failures=supervision.max_failures,
-                backoff_base=supervision.backoff_base,
-                backoff_cap=supervision.backoff_cap,
-            )
+        policy = self.fleet or FleetPolicy.from_supervision(self.supervision, self.jobs)
         return run_fleet_campaign(self.cache, spec, policy, force=force)
 
     # ------------------------------------------------------------------

@@ -194,21 +194,26 @@ def fork_context():
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Worker:
     process: Any
     conn: Any
+    #: Monotonic time past which the current task counts as hung (``None``:
+    #: no bound), and the bound it came from.
+    deadline: float | None = None
+    timeout: float | None = None
 
 
 class WorkerPool:
     """Up to ``size`` forked workers, each serving many tasks in turn.
 
     :meth:`submit` hands a task to an idle worker, forking one when none is
-    idle; the caller keeps at most ``size`` tasks in flight.  A worker whose
-    task returned valid rows goes back to the idle list (:meth:`release`);
-    any other outcome retires it (:meth:`retire` kills and joins it), so
-    no task runs in a process a failed attempt may have left inconsistent.
-    :meth:`close` kills and joins every worker and may be called repeatedly.
+    idle; the caller keeps at most ``size`` tasks in flight and collects
+    their outcomes with :meth:`wait`.  A worker whose task returned valid
+    rows goes back to the idle list; any other outcome retires it
+    (:meth:`retire` kills and joins it), so no task runs in a process a
+    failed attempt may have left inconsistent.  :meth:`close` kills and
+    joins every worker and may be called repeatedly.
     """
 
     def __init__(self, size: int) -> None:
@@ -217,32 +222,97 @@ class WorkerPool:
         self._idle: list[_Worker] = []
         self._workers: list[_Worker] = []
 
-    def submit(self, task: tuple) -> _Worker:
-        """Send ``(execute, payload, keys, attempt)`` to a worker; returns it."""
+    def submit(self, task: tuple, timeout: float | None = None) -> _Worker:
+        """Send ``(execute, payload, keys, attempt)`` to a worker; returns it.
+
+        ``timeout`` bounds the task's wall clock: once that many seconds
+        pass, :meth:`wait` retires the worker and reports a ``timeout``.
+        """
         # The dispatcher's fault spec rides along, so a directive set after
         # the worker was forked still fires.
         message = (os.environ.get(FAULT_ENV, ""),) + task
-        while self._idle:
-            worker = self._idle.pop()
+        worker = None
+        while self._idle and worker is None:
+            candidate = self._idle.pop()
             try:
-                worker.conn.send(message)
-                return worker
+                candidate.conn.send(message)
+                worker = candidate
             except OSError:  # it died while idle
-                self.retire(worker)
-        parent_conn, child_conn = self._context.Pipe()
-        inherited = [parent_conn] + [w.conn for w in self._workers]
-        process = self._context.Process(
-            target=_worker_main, args=(child_conn, inherited), daemon=True
-        )
-        process.start()
-        child_conn.close()  # keep exactly one child end so EOF means death
-        worker = _Worker(process, parent_conn)
-        self._workers.append(worker)
-        worker.conn.send(message)
+                self.retire(candidate)
+        if worker is None:
+            parent_conn, child_conn = self._context.Pipe()
+            inherited = [parent_conn] + [w.conn for w in self._workers]
+            process = self._context.Process(
+                target=_worker_main, args=(child_conn, inherited), daemon=True
+            )
+            process.start()
+            child_conn.close()  # keep exactly one child end so EOF means death
+            worker = _Worker(process, parent_conn)
+            self._workers.append(worker)
+            worker.conn.send(message)
+        worker.timeout = timeout
+        worker.deadline = time.monotonic() + timeout if timeout else None
         return worker
 
-    def release(self, worker: _Worker) -> None:
-        self._idle.append(worker)
+    def wait(
+        self,
+        busy,
+        valid: Callable[[_Worker, Any], bool],
+        timeout: float | None = None,
+    ) -> list[tuple[_Worker, str, Any]]:
+        """Settle the ``busy`` workers that finished or ran out of time.
+
+        Blocks until one of them sends its result or passes its deadline,
+        or ``timeout`` seconds pass.  Returns ``(worker, kind, body)`` per
+        settled worker: ``("rows", rows)`` when ``valid(worker, rows)``
+        accepts them (the worker goes back to the idle list); otherwise the
+        worker is retired and ``kind`` classifies the failed attempt, with a
+        message as ``body`` — ``crash`` (EOF: the worker died), ``error``
+        (it shipped an exception), ``corrupt`` (any other message) or
+        ``timeout`` (its deadline passed).
+        """
+        by_conn = {worker.conn: worker for worker in busy}
+        now = time.monotonic()
+        waits = [w.deadline - now for w in by_conn.values() if w.deadline is not None]
+        if timeout is not None:
+            waits.append(timeout)
+        ready = mp_connection.wait(
+            list(by_conn), timeout=max(0.0, min(waits)) if waits else None
+        )
+        settled = []
+        for conn in ready:
+            worker = by_conn.pop(conn)
+            settled.append((worker, *self._collect(worker, valid)))
+        now = time.monotonic()
+        for worker in by_conn.values():
+            if worker.deadline is not None and now >= worker.deadline:
+                self.retire(worker)
+                settled.append((
+                    worker,
+                    "timeout",
+                    f"cell exceeded the {worker.timeout:g}s timeout; worker killed",
+                ))
+        return settled
+
+    def _collect(self, worker: _Worker, valid) -> tuple[str, Any]:
+        """Receive one finished task's message and classify it."""
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            self.retire(worker, kill=False)
+            return "crash", f"worker died with exit code {worker.process.exitcode}"
+        tag = message[0] if isinstance(message, tuple) and len(message) == 2 else None
+        if tag == "rows" and valid(worker, message[1]):
+            self._idle.append(worker)
+            return "rows", message[1]
+        self.retire(worker)
+        if tag == "error":
+            return "error", str(message[1])
+        if tag == "rows":
+            detail = f"rows with unexpected keys or types, {len(message[1])} item(s)"
+        else:
+            detail = f"unexpected message of type {type(message).__name__}"
+        return "corrupt", f"worker returned a corrupt payload ({detail})"
 
     def retire(self, worker: _Worker, kill: bool = True) -> None:
         """Drop a worker for good; ``kill=False`` for one already exiting."""
@@ -267,8 +337,6 @@ class WorkerPool:
 class _Running:
     task: SupervisedTask
     attempt: int
-    worker: _Worker
-    deadline: float | None
     started: float
     prev_sleep: float
 
@@ -317,21 +385,11 @@ def run_supervised(
     queue: list[tuple[float, int, SupervisedTask, int, float]] = []
     for task in tasks:
         heapq.heappush(queue, (0.0, next(sequence), task, 1, policy.backoff_base))
-    running: dict[Any, _Running] = {}
+    running: dict[_Worker, _Running] = {}
     failures: list[CellFailure] = []
 
-    def _launch(task: SupervisedTask, attempt: int, prev_sleep: float) -> None:
-        worker = pool.submit((execute, task.payload, task.keys, attempt))
-        now = time.monotonic()
-        deadline = now + policy.cell_timeout if policy.cell_timeout else None
-        running[worker.conn] = _Running(
-            task=task,
-            attempt=attempt,
-            worker=worker,
-            deadline=deadline,
-            started=now,
-            prev_sleep=prev_sleep,
-        )
+    def _valid(worker: _Worker, rows) -> bool:
+        return validate_rows(rows, running[worker].task)
 
     def _settle(entry: _Running, kind: str, message: str):
         """Retry or record a failed attempt; returns the event to yield."""
@@ -367,70 +425,39 @@ def run_supervised(
             now = time.monotonic()
             while len(running) < jobs and queue and queue[0][0] <= now:
                 _, _, task, attempt, prev_sleep = heapq.heappop(queue)
-                _launch(task, attempt, prev_sleep)
+                worker = pool.submit(
+                    (execute, task.payload, task.keys, attempt), policy.cell_timeout
+                )
+                running[worker] = _Running(task, attempt, time.monotonic(), prev_sleep)
             if not running:
                 # Every unit is backing off; sleep until the earliest wakes.
                 time.sleep(min(_IDLE_WAIT_SECONDS, max(0.0, queue[0][0] - now)))
                 continue
-            waits = [entry.deadline - now for entry in running.values() if entry.deadline is not None]
-            if queue and len(running) < jobs:
-                waits.append(queue[0][0] - now)
-            timeout = max(0.0, min(waits)) if waits else None
-            ready = mp_connection.wait(list(running), timeout=timeout)
-            for conn in ready:
-                entry = running.pop(conn)
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    pool.retire(entry.worker, kill=False)
-                    code = entry.worker.process.exitcode
-                    event = _settle(entry, "crash", f"worker died with exit code {code}")
-                else:
-                    if (
-                        isinstance(message, tuple)
-                        and len(message) == 2
-                        and message[0] == "rows"
-                        and validate_rows(message[1], entry.task)
-                    ):
-                        pool.release(entry.worker)
-                        event = ("rows", message[1])
-                    else:
-                        pool.retire(entry.worker)
-                        if isinstance(message, tuple) and len(message) == 2 and message[0] == "error":
-                            event = _settle(entry, "error", str(message[1]))
-                        else:
-                            event = _settle(
-                                entry,
-                                "corrupt",
-                                "worker returned a corrupt payload "
-                                f"({_describe_payload(message)})",
-                            )
+            timeout = queue[0][0] - now if queue and len(running) < jobs else None
+            # Pop every settled worker before yielding: the ``finally`` below
+            # retires whatever is still in ``running``.
+            settled = [
+                (running.pop(worker), kind, body)
+                for worker, kind, body in pool.wait(running, _valid, timeout)
+            ]
+            for entry, kind, body in settled:
+                event = ("rows", body) if kind == "rows" else _settle(entry, kind, body)
                 yield event
                 if event[0] == "failures" and len(failures) > policy.max_failures:
                     raise FailureBudgetExceeded(failures, policy.max_failures)
-            now = time.monotonic()
-            for conn, entry in list(running.items()):
-                if entry.deadline is not None and now >= entry.deadline:
-                    running.pop(conn)
-                    pool.retire(entry.worker)
-                    event = _settle(
-                        entry,
-                        "timeout",
-                        f"cell exceeded the {policy.cell_timeout:g}s timeout; worker killed",
-                    )
-                    yield event
-                    if event[0] == "failures" and len(failures) > policy.max_failures:
-                        raise FailureBudgetExceeded(failures, policy.max_failures)
     finally:
-        for entry in running.values():
-            pool.retire(entry.worker)
+        for worker in running:
+            pool.retire(worker)
         running.clear()
         if owned:
             pool.close()
 
 
 def _rows_valid(rows, task: SupervisedTask) -> bool:
-    """A worker result is accepted only if it covers exactly the task's cells."""
+    """A worker result is accepted only if it covers exactly the task's cells.
+
+    Only ``task.keys`` is read, so a fleet work unit serves as ``task`` too.
+    """
     if not isinstance(rows, list) or len(rows) != len(task.keys):
         return False
     seen = set()
@@ -442,9 +469,3 @@ def _rows_valid(rows, task: SupervisedTask) -> bool:
             return False
         seen.add(key)
     return seen == set(task.keys)
-
-
-def _describe_payload(message) -> str:
-    if isinstance(message, tuple) and len(message) == 2 and message[0] == "rows":
-        return f"rows with unexpected keys or types, {len(message[1])} item(s)"
-    return f"unexpected message of type {type(message).__name__}"

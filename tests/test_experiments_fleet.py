@@ -122,13 +122,12 @@ class TestFleetFaultGrammar:
         )
 
     def test_kind_sets_partition_as_documented(self):
-        # hang/corrupt are pool-only (a fleet worker heartbeats through a
-        # hang); the fleet kinds are meaningless to the pool envelope.
-        assert "hang" in POOL_FAULT_KINDS and "hang" not in FLEET_FAULT_KINDS
-        assert "corrupt" in POOL_FAULT_KINDS and "corrupt" not in FLEET_FAULT_KINDS
-        for kind in ("worker-kill", "lease-stall", "double-claim"):
-            assert kind in FLEET_FAULT_KINDS and kind not in POOL_FAULT_KINDS
-        assert "crash" in POOL_FAULT_KINDS and "crash" in FLEET_FAULT_KINDS
+        # The claim loop performs only the fleet kinds; fleet units meet the
+        # pool kinds in the pool children they run on, and the fleet kinds
+        # are meaningless to the pool envelope.
+        assert FLEET_FAULT_KINDS == {"worker-kill", "lease-stall", "double-claim"}
+        assert POOL_FAULT_KINDS == {"crash", "hang", "error", "corrupt"}
+        assert not FLEET_FAULT_KINDS & POOL_FAULT_KINDS
 
     def test_kinds_filter_hides_foreign_directives(self):
         fleet_only = FaultDirective(kind="worker-kill", pattern="*")
@@ -243,6 +242,32 @@ class TestCrashTolerance:
         )
         assert len(result.rows) == len(spec.cells())
         assert not result.failures
+        assert manifest_fingerprint(cache.manifest_path(spec)) == baseline
+
+    @pytest.mark.parametrize("kind", ["hang", "corrupt"])
+    def test_pool_kind_settles_and_retries_to_identical_result(
+        self, tmp_path, monkeypatch, kind
+    ):
+        # Fleet units run on the pool, so a hung attempt is bounded by
+        # cell_timeout (not by the lease, which the fleet worker renews) and
+        # a corrupt payload is rejected, as on the pool backend.
+        spec = small_spec()
+        baseline = serial_fingerprint(spec, tmp_path)
+        cache = ResultCache(tmp_path / "fleet")
+        target = "ctmc/db_decay=0.5,db_scv=4.0,population=3"
+        monkeypatch.setenv(FAULT_ENV, f"{kind}:{target}:1")
+        policy = fast_policy(cell_timeout=1.0, lease_timeout=2.0)
+        started = time.monotonic()
+        result = run_fleet_campaign(cache, spec, policy)
+        elapsed = time.monotonic() - started
+        assert elapsed < policy.cell_timeout + policy.lease_timeout + 1.0
+        assert len(result.rows) == len(spec.cells())
+        assert not result.failures
+        assert result.meta["cells_retried"] == 1
+        queue = FleetQueue(cache.path(spec))
+        unit = next(u for u in queue.units if target in u.keys[0])
+        attempt = json.loads((queue.attempts / f"{unit.id}.json").read_text())
+        assert attempt["last_kind"] == ("timeout" if kind == "hang" else "corrupt")
         assert manifest_fingerprint(cache.manifest_path(spec)) == baseline
 
     def test_crash_retries_to_identical_result(self, tmp_path, monkeypatch):
