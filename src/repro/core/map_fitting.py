@@ -21,29 +21,43 @@ percentile is controlled by the SCV and the branch-probability parameters)
 while the stickiness of the phase chain controls the index of dispersion
 independently of the marginal.
 
-That family has a closed-form index of dispersion,
+The selection runs on that family's closed forms and builds one :class:`MAP`:
 
-    I = SCV + (SCV - 1) * decay / (1 - decay),
+* *Feasibility.*  The index of dispersion is
+  ``I = SCV + (SCV - 1) * decay / (1 - decay)`` whatever the branch
+  probability, and agrees with :meth:`MAP.index_of_dispersion` to ~``1e-11``
+  relative.  A candidate within ``tol - CLOSED_FORM_MARGIN`` of the target is
+  feasible, one beyond ``tol + CLOSED_FORM_MARGIN`` is not, and only those in
+  between are built and checked with the matrix value, so the feasible count
+  equals a full matrix scan's.
+* *One p95 per marginal.*  An (SCV, p1) group has one hyper-exponential
+  marginal whatever the decay: its rates are computed once, and the p95 of
+  every feasible group at once by :func:`repro.maps.ph.hyperexp_percentile`.
+* *The paper's key* is ``(p95 error, -rho1)`` with the closed-form lag-1
+  autocorrelation ``rho1 = decay * (SCV - 1) / (2 * SCV)``, so within a group
+  the largest feasible decay wins.
+* Only the chosen candidate is built; its reported I and p95 are the matrix
+  :meth:`MAP.index_of_dispersion` and :meth:`MAP.interarrival_percentile`.
 
-which does not depend on the branch probability.  The fit evaluates it for
-the whole grid in numpy first and builds a :class:`MAP` only for candidates
-whose closed-form relative error is within the tolerance plus a margin of
-``1e-9`` (the closed form agrees with :meth:`MAP.index_of_dispersion` to about
-``1e-11`` relative).  The survivors then go through the matrix-based check,
-so the filter only skips candidates the matrix check would reject and the
-result is the same as scanning the full grid.  When nothing is feasible, only
-the candidates whose closed-form error is within the margin of the best
-constructible one are evaluated.
+Without a p95 target (the paper gives no rule) the feasible candidate with the
+smallest matrix I error wins, ties going to the largest matrix lag-1
+autocorrelation, then grid order; with nothing feasible, the constructible one
+with the smallest matrix I error (first in grid order).  Both build only the
+candidates within the margin of the best closed-form error: no other one can
+reach the matrix minimum.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.maps.map2 import map2_exponential, map2_from_moments_and_decay
 from repro.maps.map_process import MAP
+from repro.maps.ph import hyperexp_percentile, hyperexp_rates_from_moments
 
 __all__ = [
     "FittedServiceProcess",
@@ -54,13 +68,12 @@ __all__ = [
 
 
 class MapFitError(RuntimeError):
-    """No feasible MAP(2) candidate could be constructed for a target triple.
+    """Not a single MAP(2) candidate of the grid could be constructed.
 
     Subclasses :class:`RuntimeError` for backward compatibility (callers that
     caught the historical bare ``RuntimeError`` keep working) but carries the
-    fitting targets and nearest-feasible diagnostics so supervised callers —
-    e.g. the live service's degradation path — can log *why* a refit failed
-    instead of a bare one-liner.
+    fitting targets, so supervised callers — e.g. the live service's
+    degradation path — can log *why* a refit failed.
 
     Attributes
     ----------
@@ -68,12 +81,7 @@ class MapFitError(RuntimeError):
         The measured ``(mean, I, p95)`` triple the fit was asked to match
         (``target_p95`` may be ``None``).
     candidates_considered:
-        How many grid candidates were attempted before giving up.
-    nearest:
-        Diagnostics of the constructible candidate whose index of dispersion
-        came closest to the target — ``{"achieved_dispersion", "scv",
-        "decay", "relative_error"}`` — or ``None`` when not a single grid
-        candidate was constructible.
+        How many grid candidates were considered before giving up.
     """
 
     def __init__(
@@ -84,27 +92,16 @@ class MapFitError(RuntimeError):
         target_dispersion: float,
         target_p95: float | None = None,
         candidates_considered: int = 0,
-        nearest: dict | None = None,
     ) -> None:
-        details = (
-            f"{message} (targets: mean={target_mean:g}, "
-            f"I={target_dispersion:g}, p95="
-            f"{'none' if target_p95 is None else format(target_p95, 'g')}; "
-            f"{candidates_considered} candidate(s) considered"
+        p95 = "none" if target_p95 is None else format(target_p95, "g")
+        super().__init__(
+            f"{message} (targets: mean={target_mean:g}, I={target_dispersion:g}, "
+            f"p95={p95}; {candidates_considered} candidate(s) considered)"
         )
-        if nearest is not None:
-            details += (
-                f"; nearest feasible: I={nearest.get('achieved_dispersion'):g} "
-                f"at scv={nearest.get('scv'):g}, decay={nearest.get('decay'):g}, "
-                f"relative error {nearest.get('relative_error'):.1%}"
-            )
-        details += ")"
-        super().__init__(details)
         self.target_mean = target_mean
         self.target_dispersion = target_dispersion
         self.target_p95 = target_p95
         self.candidates_considered = candidates_considered
-        self.nearest = dict(nearest) if nearest is not None else None
 
 
 @dataclass(frozen=True)
@@ -151,7 +148,7 @@ class FittedServiceProcess:
         }
 
 
-# Slack on the closed-form filter: the closed form and the matrix
+# Slack on the closed-form feasibility test: the closed form and the matrix
 # ``index_of_dispersion()`` agree to ~1e-11 relative on the candidate grid.
 CLOSED_FORM_MARGIN = 1e-9
 
@@ -160,6 +157,22 @@ def _closed_form_dispersion(scv, decay):
     """Index of dispersion of the correlated hyper-exponential MAP(2)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return scv + (scv - 1.0) * decay / (1.0 - decay)
+
+
+def _grid_axes(target_dispersion, scv_values, decay_values):
+    """The SCV and decay axes of the candidate grid, as float arrays."""
+    if target_dispersion <= 0:
+        raise ValueError("target_dispersion must be positive")
+    if scv_values is None:
+        upper = max(2.0, min(1.2 * target_dispersion, 400.0))
+        fixed = [1.05, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0]
+        scv_values = np.unique(np.concatenate([fixed, np.geomspace(1.05, upper, 12)]))
+        scv_values = scv_values[scv_values <= upper]
+    if decay_values is None:
+        decay_values = np.array(
+            [0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.998, 0.999, 0.9995]
+        )
+    return np.asarray(scv_values, dtype=float), np.asarray(decay_values, dtype=float)
 
 
 def candidate_grid(
@@ -174,29 +187,9 @@ def candidate_grid(
     of dispersion (an SCV larger than ``I`` is unreachable with positive
     correlation, and the paper's workloads all satisfy ``SCV <= I``).
     """
-    if target_dispersion <= 0:
-        raise ValueError("target_dispersion must be positive")
-    if scv_values is None:
-        upper = max(2.0, min(1.2 * target_dispersion, 400.0))
-        scv_values = np.unique(
-            np.concatenate(
-                [
-                    np.array([1.05, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0]),
-                    np.geomspace(1.05, upper, 12),
-                ]
-            )
-        )
-        scv_values = scv_values[scv_values <= upper]
-    if decay_values is None:
-        decay_values = np.array(
-            [0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.998, 0.999, 0.9995]
-        )
-    grid: list[tuple[float, float, float | None]] = []
-    for scv in scv_values:
-        for decay in decay_values:
-            for p1 in branch_probabilities:
-                grid.append((float(scv), float(decay), p1))
-    return grid
+    scv_axis, decay_axis = _grid_axes(target_dispersion, scv_values, decay_values)
+    grid = itertools.product(scv_axis, decay_axis, branch_probabilities)
+    return [(float(scv), float(decay), p1) for scv, decay, p1 in grid]
 
 
 def fit_map2_from_measurements(
@@ -256,96 +249,90 @@ def fit_map2_from_measurements(
             candidates_feasible=1,
         )
 
-    grid = candidate_grid(index_of_dispersion, scv_values, decay_values, branch_probabilities)
-    closed_form = _closed_form_dispersion(
-        np.array([scv for scv, _, _ in grid]), np.array([decay for _, decay, _ in grid])
-    )
-    closed_form_errors = np.abs(closed_form - index_of_dispersion) / index_of_dispersion
+    scv_axis, decay_axis = _grid_axes(index_of_dispersion, scv_values, decay_values)
+    p1_axis = tuple(branch_probabilities)
+    shape = (scv_axis.size, decay_axis.size, len(p1_axis))
+    considered = int(np.prod(shape))
+    # (p1, rate1, rate2) of each (SCV, p1) marginal, computed once; NaN marks
+    # a marginal that no hyper-exponential matches.
+    marginals = np.full((scv_axis.size, len(p1_axis), 3), np.nan)
+    for s, scv in enumerate(scv_axis):
+        for p, p1 in enumerate(p1_axis):
+            try:
+                marginals[s, p] = hyperexp_rates_from_moments(mean, float(scv), p1)
+            except ValueError:
+                pass
+    valid_decay = (decay_axis >= 0.0) & (decay_axis < 1.0)
+    constructible = (~np.isnan(marginals[:, None, :, 0]) & valid_decay[None, :, None]).ravel()
+    closed_form = _closed_form_dispersion(scv_axis[:, None, None], decay_axis[None, :, None])
+    errors = np.broadcast_to(
+        np.abs(closed_form - index_of_dispersion) / index_of_dispersion, shape
+    ).ravel()
 
+    @functools.cache
     def build(index):
-        """``(achieved_i, scv, decay, relative_error, p1, MAP)``, or None."""
-        scv, decay, p1 = grid[index]
-        try:
-            candidate = map2_from_moments_and_decay(mean, scv, decay, p1)
-        except ValueError:
-            return None
+        """``(MAP, matrix I, relative I error)`` of the candidate at ``index``."""
+        s, d, p = np.unravel_index(index, shape)
+        candidate = map2_from_moments_and_decay(
+            mean, float(scv_axis[s]), float(decay_axis[d]), p1_axis[p]
+        )
         achieved_i = candidate.index_of_dispersion()
-        relative_error = abs(achieved_i - index_of_dispersion) / index_of_dispersion
-        return (achieved_i, scv, decay, relative_error, p1, candidate)
+        return candidate, achieved_i, abs(achieved_i - index_of_dispersion) / index_of_dispersion
 
-    feasible: list[tuple[float, float, float, float, float | None, MAP]] = []
-    # ``not >`` keeps a NaN closed form, whose candidate then fails to build.
+    def near_best(indices):
+        """``indices`` whose closed-form error is within the margin of the best."""
+        return indices[errors[indices] <= errors[indices].min() + CLOSED_FORM_MARGIN]
+
+    feasible = constructible & (errors <= dispersion_tolerance - CLOSED_FORM_MARGIN)
     for index in np.flatnonzero(
-        ~(closed_form_errors > dispersion_tolerance + CLOSED_FORM_MARGIN)
+        constructible & ~feasible & (errors <= dispersion_tolerance + CLOSED_FORM_MARGIN)
     ):
-        entry = build(index)
-        if entry is None or entry[0] <= 0 or entry[3] > dispersion_tolerance:
-            continue
-        feasible.append(entry)
+        _, achieved_i, relative_error = build(index)
+        feasible[index] = achieved_i > 0 and relative_error <= dispersion_tolerance
+    feasible = np.flatnonzero(feasible)
 
-    if not feasible:
+    if feasible.size and p95 is not None:
+        s, d, p = np.unravel_index(feasible, shape)
+        groups, group_of = np.unique(s * len(p1_axis) + p, return_inverse=True)
+        branch, rate1, rate2 = marginals.reshape(-1, 3)[groups].T
+        group_p95 = hyperexp_percentile(branch, rate1, rate2, 0.95)
+        p95_errors = np.abs(group_p95[group_of] - p95) / p95
+        rho1 = decay_axis[d] * (scv_axis[s] - 1.0) / (2.0 * scv_axis[s])
+        # Ties (every decay of a group) go to the largest lag-1
+        # autocorrelation: the paper's conservative choice.
+        chosen = feasible[np.lexsort((-rho1, p95_errors))[0]]
+    elif feasible.size:
+        chosen = min(
+            near_best(feasible),
+            key=lambda i: (build(i)[2], -build(i)[0].autocorrelation(1)),
+        )
+    else:
         # Fall back to the candidate with the closest achievable dispersion:
         # better an approximate model than none (this only happens for very
-        # small tolerance values or extreme targets).  Candidates are tried
-        # by increasing closed-form error until no untried one can come
-        # within the margin of the best matrix error; the first strict
-        # minimum in grid order among the tried ones is the full scan's pick.
-        tried = {}
-        best_error = np.inf
-        for index in np.argsort(closed_form_errors, kind="stable"):
-            if closed_form_errors[index] > best_error + CLOSED_FORM_MARGIN:
-                break
-            entry = build(index)
-            if entry is not None:
-                tried[index] = entry
-                best_error = min(best_error, entry[3])
-        best = None
-        best_error = np.inf
-        for index in sorted(tried):
-            if tried[index][3] < best_error:
-                best_error = tried[index][3]
-                best = tried[index]
-        if best is None:
+        # small tolerance values or extreme targets).
+        candidates = np.flatnonzero(constructible)
+        if not candidates.size:
             raise MapFitError(
                 "no feasible MAP(2) candidate could be constructed",
                 target_mean=mean,
                 target_dispersion=index_of_dispersion,
                 target_p95=p95,
-                candidates_considered=len(grid),
-                nearest=None,
+                candidates_considered=considered,
             )
-        feasible = [best]
+        chosen = min(near_best(candidates), key=lambda i: build(i)[2])
 
-    # Each candidate's p95 is computed once, for the key and the result.
-    percentiles = [
-        None if p95 is None else candidate.interarrival_percentile(0.95)
-        for *_, candidate in feasible
-    ]
-
-    def selection_key(position):
-        relative_error, candidate = feasible[position][3], feasible[position][5]
-        if p95 is None:
-            p95_error = relative_error
-        else:
-            p95_error = abs(percentiles[position] - p95) / p95
-        # Ties broken by the largest lag-1 autocorrelation (conservative fit).
-        return (p95_error, -candidate.autocorrelation(1))
-
-    chosen_position = min(range(len(feasible)), key=selection_key)
-    achieved_i, scv, decay, _, p1, chosen = feasible[chosen_position]
-    achieved_p95 = percentiles[chosen_position]
-    if achieved_p95 is None:
-        achieved_p95 = chosen.interarrival_percentile(0.95)
+    fitted, achieved_i, _ = build(chosen)
+    s, d, p = np.unravel_index(chosen, shape)
     return FittedServiceProcess(
-        map=chosen,
+        map=fitted,
         mean=mean,
         target_dispersion=index_of_dispersion,
         achieved_dispersion=achieved_i,
         target_p95=p95,
-        achieved_p95=achieved_p95,
-        scv=scv,
-        decay=decay,
-        branch_probability=p1,
-        candidates_considered=len(grid),
-        candidates_feasible=len(feasible),
+        achieved_p95=fitted.interarrival_percentile(0.95),
+        scv=float(scv_axis[s]),
+        decay=float(decay_axis[d]),
+        branch_probability=p1_axis[p],
+        candidates_considered=considered,
+        candidates_feasible=feasible.size or 1,
     )

@@ -26,6 +26,7 @@ __all__ = [
     "PHDistribution",
     "hyperexponential_ph",
     "hyperexp_rates_from_moments",
+    "hyperexp_percentile",
 ]
 
 
@@ -155,11 +156,6 @@ class PHDistribution:
         values = np.clip(values, 0.0, 1.0)
         return float(values[0]) if scalar else values
 
-    def sf(self, x) -> np.ndarray | float:
-        """Survival function ``1 - F(x)``."""
-        cdf = self.cdf(x)
-        return 1.0 - cdf
-
     def pdf(self, x) -> np.ndarray | float:
         """Probability density function ``f(x) = alpha exp(Tx) t``."""
         scalar = np.isscalar(x)
@@ -288,6 +284,30 @@ def hyperexp_rates_from_moments(
             "no positive-rate hyper-exponential for mean=%g scv=%g p1=%g" % (mean, scv, p1)
         )
     return float(p1), float(1.0 / x1), float(1.0 / x2)
+
+
+def hyperexp_percentile(p1, rate1, rate2, q: float) -> np.ndarray:
+    """``q``-quantiles of two-phase hyper-exponentials (arguments broadcast).
+
+    Bisects ``p1 * exp(-rate1 * t) + (1 - p1) * exp(-rate2 * t) = 1 - q`` on
+    ``[0, -log(1 - q) / min(rate1, rate2)]`` until every midpoint is an end of
+    its bracket, i.e. to about one ulp.
+    """
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must be in the open interval (0, 1)")
+    p1, rate1, rate2 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (p1, rate1, rate2))
+    )
+    tail = 1.0 - q
+    lower = np.zeros(p1.shape)
+    upper = -np.log(tail) / np.minimum(rate1, rate2)
+    while True:
+        middle = 0.5 * (lower + upper)
+        if not np.any((middle > lower) & (middle < upper)):
+            return middle
+        above = p1 * np.exp(-rate1 * middle) + (1.0 - p1) * np.exp(-rate2 * middle) > tail
+        lower = np.where(above, middle, lower)
+        upper = np.where(above, upper, middle)
 
 
 def hyperexponential_ph(

@@ -247,10 +247,13 @@ def _validated(candidate, residual_of, rate_scale: float):
     """Normalise a candidate solution; ``None`` if it is not a distribution.
 
     Accepts the candidate only when it is finite, non-negative up to round-off
-    and satisfies the balance equations to ``max |pi Q| <= 1e-8 * rate_scale``.
-    ``residual_of`` maps a normalised candidate to ``max |pi Q|`` — a sparse
-    row-vector product for the materialized tiers, an operator matvec for the
-    matrix-free tier.
+    and satisfies the balance equations to
+    ``max |pi Q| <= 1e-8 * max(rate_scale, 1.0)`` with ``rate_scale`` the
+    largest exit rate.  The floor of 1 makes the bound absolute when every
+    rate is below 1, so it is not scale-free (ROADMAP: "One accuracy contract
+    for every solver tier").  ``residual_of`` maps a normalised candidate to
+    ``max |pi Q|`` — a sparse row-vector product for the materialized tiers,
+    an operator matvec for the matrix-free tier.
     """
     candidate = np.asarray(candidate).reshape(-1)
     if not np.all(np.isfinite(candidate)) or candidate.min() < -1e-8:

@@ -263,13 +263,6 @@ class MatrixFreeGenerator:
     # ------------------------------------------------------------------
     # scipy views
     # ------------------------------------------------------------------
-    def generator_operator(self) -> sparse_linalg.LinearOperator:
-        """``Q`` as a :class:`scipy.sparse.linalg.LinearOperator`."""
-        n = self.num_states
-        return sparse_linalg.LinearOperator(
-            (n, n), matvec=self.q_matvec, rmatvec=self.qt_matvec, dtype=float
-        )
-
     def balance_operator(self) -> sparse_linalg.LinearOperator:
         """The normalised balance matrix ``A`` as a ``LinearOperator``."""
         n = self.num_states

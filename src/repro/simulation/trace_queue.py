@@ -41,11 +41,6 @@ class TraceQueueResult:
             raise ValueError("q must be in (0, 1)")
         return float(np.quantile(self.response_times, q))
 
-    @property
-    def mean_waiting_time(self) -> float:
-        """Mean waiting time in queue."""
-        return float(self.waiting_times.mean())
-
     def summary(self) -> dict:
         """The columns reported in Table 1 of the paper."""
         return {

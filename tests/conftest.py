@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import multiprocessing
+import signal
 
 import numpy as np
 import pytest
@@ -27,6 +29,32 @@ def no_leaked_workers():
     gc.collect()
     leaked = multiprocessing.active_children()
     assert not leaked, f"worker processes still running at session end: {leaked}"
+
+
+#: Bound on a test that recovers from an injected hang: seconds of work, so a
+#: hang that is never reaped fails the test instead of stalling the run.
+HANG_DEADLINE_SECONDS = 30.0
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail the test if the ``with`` body runs longer than ``seconds``.
+
+    Arms ``ITIMER_REAL``; its ``SIGALRM`` handler fails the test from the main
+    thread, also out of a blocking wait.  The timer is always cancelled and
+    the previous handler restored.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after its {seconds:g} s deadline", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

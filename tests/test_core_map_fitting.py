@@ -79,6 +79,15 @@ class TestFitQuality:
         assert fit.map.mean() == pytest.approx(1.0, rel=1e-6)
 
 
+    def test_ulp_close_p95s_do_not_override_the_autocorrelation_tie_break(self):
+        # A window of a seed-1 service trace: decays 0.7 and 0.8 of the
+        # (SCV 12, p1 0.975) marginal are both feasible and share one p95, so
+        # the larger lag-1 autocorrelation (decay 0.8) must win.
+        fit = fit_map2_from_measurements(0.01898465657370518, 47.066675579240055, 1 / 24)
+        assert (fit.scv, fit.branch_probability, fit.decay) == (12.0, 0.975, 0.8)
+        assert fit.candidates_feasible == 66
+
+
 class TestCandidateGrid:
     def test_grid_not_empty(self):
         assert len(candidate_grid(50.0)) > 50

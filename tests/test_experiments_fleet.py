@@ -27,6 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import HANG_DEADLINE_SECONDS, deadline
 
 from repro.experiments import (
     CampaignInterrupted,
@@ -258,7 +259,8 @@ class TestCrashTolerance:
         monkeypatch.setenv(FAULT_ENV, f"{kind}:{target}:1")
         policy = fast_policy(cell_timeout=1.0, lease_timeout=2.0)
         started = time.monotonic()
-        result = run_fleet_campaign(cache, spec, policy)
+        with deadline(HANG_DEADLINE_SECONDS):
+            result = run_fleet_campaign(cache, spec, policy)
         elapsed = time.monotonic() - started
         assert elapsed < policy.cell_timeout + policy.lease_timeout + 1.0
         assert len(result.rows) == len(spec.cells())

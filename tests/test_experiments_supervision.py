@@ -16,6 +16,7 @@ import multiprocessing
 import os
 
 import pytest
+from conftest import HANG_DEADLINE_SECONDS, deadline
 
 from repro.experiments import (
     FAULT_ENV,
@@ -143,12 +144,13 @@ class TestRetryRecovery:
     ):
         spec = small_spec()
         monkeypatch.setenv(FAULT_ENV, "hang:bounds:1")
-        result = run_scenario(
-            spec,
-            cache_dir=tmp_path,
-            jobs=2,
-            supervision=fast_policy(cell_timeout=0.75, retries=1),
-        )
+        with deadline(HANG_DEADLINE_SECONDS):
+            result = run_scenario(
+                spec,
+                cache_dir=tmp_path,
+                jobs=2,
+                supervision=fast_policy(cell_timeout=0.75, retries=1),
+            )
         assert result.failures == ()
         assert result.meta["cells_retried"] >= 2
         assert len(result.rows) == 6
@@ -377,7 +379,8 @@ class TestWorkerLifecycle:
         # One worker: "first" leaves it idle, the failing first attempt of
         # "second" runs on it, and the retry must come from a fresh fork.
         monkeypatch.setenv(FAULT_ENV, f"{kind}:second:1")
-        pids, retries = _run_pids(_pid_tasks("first", "second"), cell_timeout=1.0)
+        with deadline(HANG_DEADLINE_SECONDS):
+            pids, retries = _run_pids(_pid_tasks("first", "second"), cell_timeout=1.0)
         assert retries == 1
         assert pids["first"] != pids["second"]
 

@@ -15,7 +15,11 @@ from repro.core.map_fitting import (
     fit_map2_from_measurements,
 )
 from repro.maps.map2 import map2_from_moments_and_decay
-from repro.maps.ph import hyperexp_rates_from_moments, hyperexponential_ph
+from repro.maps.ph import (
+    hyperexp_percentile,
+    hyperexp_rates_from_moments,
+    hyperexponential_ph,
+)
 from repro.maps.map2 import map2_exponential
 from repro.queueing.bounds import asymptotic_throughput_bounds, balanced_job_bounds
 from repro.queueing.ctmc import SolveStats, steady_state_distribution
@@ -71,7 +75,12 @@ class TestMap2Properties:
 
 
 def _reference_fit(mean, index_of_dispersion, p95, dispersion_tolerance):
-    """The full-grid scan: every candidate built and checked by its matrix I."""
+    """The paper's rule as a full-grid scan, every candidate checked by its matrix I.
+
+    With a p95 target, each (SCV, p1) marginal gets one ``brentq`` p95 (the
+    marginal does not depend on ``decay``) and ties go to the largest matrix
+    lag-1 autocorrelation.
+    """
     grid = candidate_grid(index_of_dispersion)
     feasible = []
     considered = 0
@@ -103,12 +112,16 @@ def _reference_fit(mean, index_of_dispersion, p95, dispersion_tolerance):
                 best = (achieved_i, scv, decay, relative_error, p1, candidate)
         feasible = [best]
 
+    marginal_p95 = {}
+
     def selection_key(entry):
         achieved_i, scv, decay, relative_error, p1, candidate = entry
         if p95 is None:
             p95_error = relative_error
         else:
-            p95_error = abs(candidate.interarrival_percentile(0.95) - p95) / p95
+            if (scv, p1) not in marginal_p95:
+                marginal_p95[scv, p1] = hyperexponential_ph(mean, scv, p1).percentile(0.95)
+            p95_error = abs(marginal_p95[scv, p1] - p95) / p95
         return (p95_error, -candidate.autocorrelation(1))
 
     achieved_i, scv, decay, _, p1, chosen = min(feasible, key=selection_key)
@@ -137,6 +150,8 @@ class TestClosedFormFitMatchesFullGrid:
     @example(mean=1.0, target_i=37.7, p95_factor=None, tolerance=1e-6)
     @example(mean=1e-4, target_i=1.01, p95_factor=3.0, tolerance=0.2)
     @example(mean=10.0, target_i=1000.0, p95_factor=1.0, tolerance=1e-6)
+    @example(mean=0.01898465657370518, target_i=47.066675579240055,
+             p95_factor=1 / (24 * 0.01898465657370518), tolerance=0.2)
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_every_field_is_identical(self, mean, target_i, p95_factor, tolerance):
         p95 = None if p95_factor is None else mean * p95_factor
@@ -147,6 +162,48 @@ class TestClosedFormFitMatchesFullGrid:
                 assert getattr(fit, field.name) == getattr(reference, field.name), field.name
         assert np.array_equal(fit.map.D0, reference.map.D0)
         assert np.array_equal(fit.map.D1, reference.map.D1)
+
+
+class TestPaperFitRule:
+    @given(
+        mean=st.floats(min_value=-4.0, max_value=1.0).map(lambda e: 10.0**e),
+        target_i=st.floats(min_value=np.log10(1.5), max_value=3.0).map(lambda e: 10.0**e),
+        p95_factor=st.floats(min_value=0.2, max_value=20.0),
+        tolerance=st.sampled_from([0.2, 0.05]),
+    )
+    @example(mean=0.01898465657370518, target_i=47.066675579240055,
+             p95_factor=1 / (24 * 0.01898465657370518), tolerance=0.2)
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_chosen_decay_is_the_largest_feasible_one_of_its_group(
+        self, mean, target_i, p95_factor, tolerance
+    ):
+        fit = fit_map2_from_measurements(mean, target_i, mean * p95_factor, tolerance)
+        feasible_decays = []
+        for scv, decay, p1 in candidate_grid(target_i):
+            if scv != fit.scv or p1 != fit.branch_probability:
+                continue
+            achieved_i = map2_from_moments_and_decay(mean, scv, decay, p1).index_of_dispersion()
+            if abs(achieved_i - target_i) / target_i <= tolerance:
+                feasible_decays.append(decay)
+        if feasible_decays:  # otherwise the fit fell back to the nearest I
+            assert fit.decay == max(feasible_decays)
+
+    @given(
+        mean=means,
+        scv=st.floats(min_value=1.05, max_value=400.0),
+        p1=st.sampled_from([None, 0.7, 0.9, 0.975]),
+    )
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_vectorised_p95_matches_every_decay_of_the_group(self, mean, scv, p1):
+        try:
+            branch, rate1, rate2 = hyperexp_rates_from_moments(mean, scv, p1)
+        except ValueError:
+            return  # no hyper-exponential has this marginal
+        p95 = float(hyperexp_percentile(branch, rate1, rate2, 0.95))
+        for decay in (0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.998, 0.999, 0.9995):
+            expected = map2_from_moments_and_decay(mean, scv, decay, p1).interarrival_percentile(0.95)
+            # 1e-12 is brentq's absolute ``xtol`` in ``interarrival_percentile``.
+            assert p95 == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 class TestDirectSolveMatchesDenseLU:
