@@ -36,7 +36,7 @@ from repro.queueing.ctmc import (
 from repro.queueing.kron import (
     KronGeneratorAssembler,
     NetworkStateSpace,
-    embed_distribution,
+    remap_distribution,
 )
 from repro.queueing.kron_operator import (
     LevelSweepPreconditioner,
@@ -53,7 +53,6 @@ from repro.queueing.transient import (
     NetworkSegment,
     PiecewiseTransientSolution,
     SegmentTransient,
-    remap_distribution,
     solve_piecewise_stationary,
     solve_piecewise_transient,
     uniformized_transient,
@@ -75,7 +74,6 @@ __all__ = [
     "SparseGeneratorBuilder",
     "KronGeneratorAssembler",
     "NetworkStateSpace",
-    "embed_distribution",
     "LevelSweepPreconditioner",
     "MatrixFreeGenerator",
     "MultilevelPreconditioner",

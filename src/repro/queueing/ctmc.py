@@ -15,23 +15,24 @@ Solver tiers
 ------------
 The balance system is built directly in COO/CSC form (no ``lil_matrix`` row
 surgery).  Small systems go through a sparse direct LU solve, which is cheap
-and the most accurate.  Large systems hit SuperLU's fill-in wall — the
-lattice-structured generators produced by the closed network make the direct
-factorisation super-linearly expensive — so they are solved with an
-ILU-preconditioned Krylov iteration first (BiCGSTAB, with a GMRES retry),
-which is an order of magnitude faster from ``~10^4`` states up.  Beyond
+and the most accurate.  Larger systems are solved with an ILU-preconditioned
+Krylov iteration first (BiCGSTAB, with a GMRES retry).  Beyond
 :data:`MATERIALIZED_STATE_LIMIT` states even the materialized CSR + ILU pair
 becomes the bottleneck (gigabytes of fill, minutes of factorisation), and
 :func:`steady_state_matrix_free` takes over: a preconditioned Krylov solve
 whose operator applies the generator directly from its Kronecker block
 structure (:mod:`repro.queueing.kron_operator`) — nothing larger than
 ``O(states)`` is ever allocated.  :func:`choose_solver_tier` picks the tier
-from the state count; the ``REPRO_SOLVER_TIER`` environment variable or the
-``tier=`` keyword of the solver entry points forces one for debugging.
+from the state count; the ``tier=`` keyword of the solver entry points is the
+one way to force a tier.
 
-Every candidate solution is validated against the residual ``max |pi Q|``
-before it is accepted; failures are logged and the next strategy is tried,
-ending with uniformised power iteration as the last resort.
+Each tier is one ordered list of ``(name, strategy)`` pairs — direct, then
+ILU-Krylov, then power iteration; or ILU-Krylov first; or matrix-free
+BiCGSTAB, GMRES, then power iteration — run by one loop,
+:func:`_run_strategies`.  Every candidate solution is validated against the
+residual ``max |pi Q|`` before it is accepted; failures are logged and the
+next strategy is tried.  When the uniformised power iteration at the end of
+the list fails too, :class:`SteadyStateError` is raised.
 
 Both entry points accept an optional :class:`SolveStats` sink that records,
 per strategy attempted, the wall-clock seconds and Krylov iteration count —
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import os
 import time
 
 import numpy as np
@@ -54,25 +54,25 @@ __all__ = [
     "SparseGeneratorBuilder",
     "SolveAttempt",
     "SolveStats",
+    "SteadyStateError",
     "assemble_generator",
     "steady_state_distribution",
     "steady_state_matrix_free",
     "choose_solver_tier",
     "SOLVER_TIERS",
-    "MATERIALIZED_STRATEGIES",
-    "MATRIX_FREE_STRATEGIES",
     "DIRECT_SOLVE_STATE_LIMIT",
     "MATERIALIZED_STATE_LIMIT",
-    "TIER_ENV_VAR",
 ]
 
 logger = logging.getLogger(__name__)
 
-#: Below this many states a sparse direct solve is both fast and the most
-#: accurate option, so it runs first.  Above it the ILU+Krylov path leads:
-#: the LU fill grows super-linearly on lattice-structured generators.  At
-#: 20,604 states (MAP(2) x MAP(2), N=100) the direct solve takes ~2.2 s and
-#: +137 MB, against ~0.17 s and +8 MB for ILU+BiCGSTAB.
+#: Below this many states the sparse direct solve, the most accurate option,
+#: runs first.  Above it the ILU+Krylov path leads: the LU fill grows
+#: super-linearly on lattice-structured generators.  The limit is kept for
+#: accuracy, not speed: with the banded LU, ILU+BiCGSTAB is already faster
+#: at 1,984 states (MAP(2) x MAP(2), N=30: 0.017 s direct vs 0.006 s), and at
+#: 20,604 states (N=100) the direct solve takes 1.5 s against 0.17 s
+#: (median of 5, 2-core Xeon).
 DIRECT_SOLVE_STATE_LIMIT = 4_000
 
 #: Above this many states the generator is no longer materialized at all:
@@ -83,25 +83,6 @@ MATERIALIZED_STATE_LIMIT = 600_000
 
 #: Tier names, in ascending problem-size order.
 SOLVER_TIERS = ("direct", "ilu_krylov", "matrix_free")
-
-#: Environment variable forcing a tier (same values as :data:`SOLVER_TIERS`,
-#: or ``auto``/empty for the size-based default).
-TIER_ENV_VAR = "REPRO_SOLVER_TIER"
-
-#: Strategies :func:`steady_state_distribution` accepts for ``prefer=``.
-MATERIALIZED_STRATEGIES = ("direct", "ilu_krylov", "power")
-
-#: Strategies :func:`steady_state_matrix_free` accepts for ``prefer=``.
-MATRIX_FREE_STRATEGIES = ("bicgstab", "gmres", "power")
-
-
-def _validate_prefer(prefer: str | None, allowed: tuple[str, ...]) -> str | None:
-    """Shared ``prefer=`` validation for both solver entry points."""
-    if prefer is not None and prefer not in allowed:
-        raise ValueError(
-            f"unknown solver strategy {prefer!r}; expected one of {allowed}"
-        )
-    return prefer
 
 
 @dataclasses.dataclass
@@ -142,20 +123,26 @@ class SolveStats:
         self.precond_setup_seconds = (self.precond_setup_seconds or 0.0) + seconds
 
 
+class SteadyStateError(RuntimeError):
+    """No strategy of a solver tier produced a valid steady state.
+
+    A ``RuntimeError``, so the matrix-free to materialized tier fallback and
+    experiment-cell supervision treat it like any other solver failure.
+    """
+
+
 def choose_solver_tier(num_states: int, override: str | None = None) -> str:
     """Pick the steady-state solver tier for a system of ``num_states``.
 
-    ``override`` (or the ``REPRO_SOLVER_TIER`` environment variable, in that
-    precedence order) forces a tier regardless of size; ``"auto"`` and empty
-    values mean the size-based default.  Unknown names raise ``ValueError``.
+    ``override`` forces a tier regardless of size.  It is the one place a
+    tier is forced: the ``tier=`` keyword of the solver entry points, the
+    ``--tier`` CLI flag and a ctmc solver's ``{"tier": ...}`` option all
+    reach it.  Unknown names raise ``ValueError``.
     """
-    if override is None:
-        override = os.environ.get(TIER_ENV_VAR) or None
-    if override is not None and override != "auto":
+    if override is not None:
         if override not in SOLVER_TIERS:
             raise ValueError(
-                f"unknown solver tier {override!r}; expected one of "
-                f"{SOLVER_TIERS + ('auto',)}"
+                f"unknown solver tier {override!r}; expected one of {SOLVER_TIERS}"
             )
         return override
     if num_states <= DIRECT_SOLVE_STATE_LIMIT:
@@ -163,6 +150,7 @@ def choose_solver_tier(num_states: int, override: str | None = None) -> str:
     if num_states <= MATERIALIZED_STATE_LIMIT:
         return "ilu_krylov"
     return "matrix_free"
+
 
 #: ILU preconditioner knobs for the Krylov path.  ``NATURAL`` ordering beats
 #: COLAMD by ~10x here because the network's state enumeration already orders
@@ -337,11 +325,63 @@ def _ilu_krylov_solve(A, b, initial_guess, counter, stats=None) -> np.ndarray:
     return solution
 
 
+#: Strategies that report no Krylov iteration count.
+_NON_KRYLOV_STRATEGIES = ("direct", "power")
+
+
+def _run_strategies(strategies, residual_of, rate_scale: float, num_states: int,
+                    stats: SolveStats | None, label: str) -> np.ndarray:
+    """The one strategy loop of every solver tier.
+
+    ``strategies`` is an ordered list of ``(name, strategy)`` pairs; a
+    strategy maps a one-element Krylov iteration counter to a candidate
+    solution.  The first candidate that passes :func:`_validated` is
+    returned.  Every attempt is timed and recorded in ``stats``, and every
+    failure is logged before the next strategy runs.  Raises
+    :class:`SteadyStateError` when no candidate is accepted.
+    """
+    residual = None
+    for position, (name, strategy) in enumerate(strategies, start=1):
+        counter = [0]
+        attempt_start = time.perf_counter()
+        solution = None
+        try:
+            candidate = strategy(counter)
+        except (RuntimeError, ValueError, ArithmeticError, MemoryError,
+                np.linalg.LinAlgError) as error:
+            # MemoryError is included deliberately: the direct fallback can hit
+            # SuperLU's fill-in wall on large lattice generators, and the
+            # power-iteration last resort must still get its chance.
+            failure = f"failed ({type(error).__name__}: {error})"
+        else:
+            solution = _validated(candidate, residual_of, rate_scale)
+            if solution is None:
+                residual = residual_of(np.asarray(candidate, dtype=float).reshape(-1))
+            failure = "produced an invalid distribution"
+        if stats is not None:
+            stats.attempts.append(SolveAttempt(
+                name, time.perf_counter() - attempt_start,
+                iterations=None if name in _NON_KRYLOV_STRATEGIES else counter[0],
+                accepted=solution is not None,
+            ))
+        if solution is not None:
+            return solution
+        logger.warning(
+            "%s steady-state %s solve %s%s", label, name, failure,
+            "; trying next strategy" if position < len(strategies) else "",
+        )
+    raise SteadyStateError(
+        f"no {label} strategy ({', '.join(name for name, _ in strategies)}) "
+        f"produced a valid steady state for {num_states} states; last balance "
+        f"residual max|pi Q| = {residual}"
+    )
+
+
 def steady_state_distribution(
     generator: sparse.spmatrix,
     tol: float = 1e-12,
     initial_guess: np.ndarray | None = None,
-    prefer: str | None = None,
+    tier: str | None = None,
     stats: SolveStats | None = None,
 ) -> np.ndarray:
     """Solve ``pi Q = 0`` with ``pi >= 0`` and ``sum(pi) = 1``.
@@ -357,10 +397,11 @@ def steady_state_distribution(
         of a nearby model, as produced by population sweeps.  The direct
         solve ignores it, so providing a guess never changes the result of a
         successfully direct-solved system.
-    prefer:
-        One of :data:`MATERIALIZED_STRATEGIES` forces that strategy to run
-        first (``"power"`` skips the linear solvers entirely); ``None``
-        picks by problem size, with the others as fallback.
+    tier:
+        Forces a tier (:func:`choose_solver_tier`); ``None`` picks by size.
+        ``direct`` runs direct, ILU-Krylov, then power iteration; any other
+        tier runs ILU-Krylov first, since the generator is already
+        materialized.
     stats:
         Optional :class:`SolveStats` filled in place with per-attempt
         timings and Krylov iteration counts.
@@ -368,7 +409,7 @@ def steady_state_distribution(
     num_states = generator.shape[0]
     if generator.shape[0] != generator.shape[1]:
         raise ValueError("generator must be square")
-    _validate_prefer(prefer, MATERIALIZED_STRATEGIES)
+    tier = choose_solver_tier(num_states, override=tier)
     if num_states == 1:
         return np.array([1.0])
 
@@ -376,64 +417,23 @@ def steady_state_distribution(
     rate_scale = float(np.abs(generator.diagonal()).max())
     A, b = _balance_system(generator)
 
-    if prefer == "power":
-        strategies: list[str] = []
-    else:
-        lead = prefer or (
-            "direct" if num_states <= DIRECT_SOLVE_STATE_LIMIT else "ilu_krylov"
-        )
-        strategies = [lead] + [s for s in ("direct", "ilu_krylov") if s != lead]
+    def pi_q(pi):
+        return pi @ generator
 
-    def residual_of(candidate):
-        return float(np.abs(candidate @ generator).max())
-
-    for strategy in strategies:
-        counter = [0]
-        attempt_start = time.perf_counter()
-        try:
-            if strategy == "direct":
-                candidate = _direct_solve(A, b)
-            else:
-                candidate = _ilu_krylov_solve(A, b, initial_guess, counter, stats)
-        except (RuntimeError, ValueError, ArithmeticError, MemoryError,
-                np.linalg.LinAlgError) as error:
-            # MemoryError is included deliberately: the direct fallback can hit
-            # SuperLU's fill-in wall on large lattice generators, and the
-            # power-iteration last resort must still get its chance.
-            if stats is not None:
-                stats.attempts.append(SolveAttempt(
-                    strategy, time.perf_counter() - attempt_start,
-                    iterations=counter[0] if strategy != "direct" else None,
-                ))
-            logger.warning(
-                "steady-state %s solve failed (%s: %s); trying next strategy",
-                strategy, type(error).__name__, error,
-            )
-            continue
-        solution = _validated(candidate, residual_of, rate_scale)
-        if stats is not None:
-            stats.attempts.append(SolveAttempt(
-                strategy, time.perf_counter() - attempt_start,
-                iterations=counter[0] if strategy != "direct" else None,
-                accepted=solution is not None,
-            ))
-        if solution is not None:
-            return solution
-        logger.warning(
-            "steady-state %s solve produced an invalid distribution; trying next strategy",
-            strategy,
-        )
-    if prefer != "power":
-        logger.warning(
-            "all linear-solver strategies failed; falling back to power iteration"
-        )
-    attempt_start = time.perf_counter()
-    solution = _power_iteration(generator, tol=tol, initial_guess=initial_guess)
-    if stats is not None:
-        stats.attempts.append(SolveAttempt(
-            "power", time.perf_counter() - attempt_start, accepted=True,
-        ))
-    return solution
+    strategies = [
+        ("direct", lambda counter: _direct_solve(A, b)),
+        ("ilu_krylov",
+         lambda counter: _ilu_krylov_solve(A, b, initial_guess, counter, stats)),
+    ]
+    if tier != "direct":
+        strategies.reverse()
+    strategies.append(("power", lambda counter: _power_iteration_callable(
+        pi_q, rate_scale, num_states, tol=tol, initial_guess=initial_guess,
+    )))
+    return _run_strategies(
+        strategies, lambda candidate: float(np.abs(pi_q(candidate)).max()),
+        rate_scale, num_states, stats, "materialized",
+    )
 
 
 #: Relative tolerance of the matrix-free Krylov iterations.  The acceptance
@@ -485,7 +485,6 @@ def steady_state_matrix_free(
     operator,
     tol: float = 1e-12,
     initial_guess: np.ndarray | None = None,
-    prefer: str | None = None,
     stats: SolveStats | None = None,
 ) -> np.ndarray:
     """Steady state through a matrix-free operator — nothing materialized.
@@ -496,96 +495,45 @@ def steady_state_matrix_free(
     surface).  The solve targets the same normalised balance system as the
     materialized tiers — preconditioned BiCGSTAB first, a GMRES retry, and
     matrix-free power iteration as the last resort — and validates every
-    candidate against the same ``max |pi Q|`` residual threshold.
-
-    ``prefer`` accepts one of :data:`MATRIX_FREE_STRATEGIES` (same validation
-    as the materialized tier's ``prefer=``); ``stats`` is an optional
-    :class:`SolveStats` filled in place.
+    candidate against the same ``max |pi Q|`` residual threshold.  ``stats``
+    is an optional :class:`SolveStats` filled in place.
     """
     num_states = operator.num_states
-    _validate_prefer(prefer, MATRIX_FREE_STRATEGIES)
     if num_states == 1:
         return np.array([1.0])
     b = np.zeros(num_states)
     b[-1] = 1.0
 
-    krylov: list[tuple] = []
-    if prefer != "power":
-        setup_start = time.perf_counter()
-        try:
-            preconditioner = operator.preconditioner().as_linear_operator()
-            if stats is not None:
-                stats._record_setup(time.perf_counter() - setup_start)
-        except (RuntimeError, ValueError, MemoryError, np.linalg.LinAlgError) as error:
-            logger.warning(
-                "matrix-free preconditioner setup failed (%s: %s); "
-                "continuing unpreconditioned", type(error).__name__, error,
-            )
-            preconditioner = None
-        krylov = [
-            ("bicgstab", _matrix_free_bicgstab),
-            ("gmres", _matrix_free_gmres),
-        ]
-        if prefer == "gmres":
-            krylov.reverse()
-
-    for name, strategy in krylov:
-        counter = [0]
-        attempt_start = time.perf_counter()
-        try:
-            candidate = strategy(operator, b, initial_guess, preconditioner, counter)
-        except (RuntimeError, ValueError, ArithmeticError, MemoryError,
-                np.linalg.LinAlgError) as error:
-            if stats is not None:
-                stats.attempts.append(SolveAttempt(
-                    name, time.perf_counter() - attempt_start, iterations=counter[0],
-                ))
-            logger.warning(
-                "matrix-free %s solve failed (%s: %s); trying next strategy",
-                name, type(error).__name__, error,
-            )
-            continue
-        solution = _validated(candidate, operator.residual, operator.rate_scale)
+    setup_start = time.perf_counter()
+    try:
+        preconditioner = operator.preconditioner().as_linear_operator()
         if stats is not None:
-            stats.attempts.append(SolveAttempt(
-                name, time.perf_counter() - attempt_start, iterations=counter[0],
-                accepted=solution is not None,
-            ))
-        if solution is not None:
-            return solution
+            stats._record_setup(time.perf_counter() - setup_start)
+    except (RuntimeError, ValueError, MemoryError, np.linalg.LinAlgError) as error:
         logger.warning(
-            "matrix-free %s solve produced an invalid distribution; "
-            "trying next strategy", name,
+            "matrix-free preconditioner setup failed (%s: %s); "
+            "continuing unpreconditioned", type(error).__name__, error,
         )
-    if prefer != "power":
-        logger.warning(
-            "matrix-free Krylov strategies failed; falling back to power iteration"
-        )
-    attempt_start = time.perf_counter()
-    solution = _power_iteration_callable(
-        operator.qt_matvec, operator.rate_scale, num_states,
-        tol=tol, initial_guess=initial_guess,
+        preconditioner = None
+
+    strategies = [
+        ("bicgstab", lambda counter: _matrix_free_bicgstab(
+            operator, b, initial_guess, preconditioner, counter)),
+        ("gmres", lambda counter: _matrix_free_gmres(
+            operator, b, initial_guess, preconditioner, counter)),
+        ("power", lambda counter: _power_iteration_callable(
+            operator.qt_matvec, operator.rate_scale, num_states,
+            tol=tol, initial_guess=initial_guess)),
+    ]
+    return _run_strategies(
+        strategies, operator.residual, operator.rate_scale, num_states, stats,
+        "matrix-free",
     )
-    if stats is not None:
-        stats.attempts.append(SolveAttempt(
-            "power", time.perf_counter() - attempt_start, accepted=True,
-        ))
-    return solution
 
 
-def _power_iteration(
-    generator: sparse.spmatrix,
-    tol: float = 1e-12,
-    max_iterations: int = 200_000,
-    initial_guess: np.ndarray | None = None,
-) -> np.ndarray:
-    """Steady state via power iteration on the uniformised DTMC."""
-    generator = generator.tocsr()
-    rate_scale = float((-generator.diagonal()).max())
-    return _power_iteration_callable(
-        lambda pi: pi @ generator, rate_scale, generator.shape[0],
-        tol=tol, max_iterations=max_iterations, initial_guess=initial_guess,
-    )
+#: Iteration cap of the power-iteration last resort.  An unconverged final
+#: iterate still goes through residual validation like any other candidate.
+_POWER_MAX_ITERATIONS = 200_000
 
 
 def _power_iteration_callable(
@@ -593,15 +541,16 @@ def _power_iteration_callable(
     rate_scale: float,
     num_states: int,
     tol: float = 1e-12,
-    max_iterations: int = 200_000,
     initial_guess: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniformised power iteration over a ``pi -> pi Q`` callable.
 
-    Shared by the materialized last resort (sparse row-vector product) and
-    the matrix-free tier (operator ``qt_matvec``): one uniformisation step is
-    ``pi + (pi Q) / Lambda`` with ``Lambda`` just above the largest exit
-    rate, so no transition matrix is ever formed.
+    The last strategy of every tier: a sparse row-vector product on the
+    materialized tiers, the operator's ``qt_matvec`` on the matrix-free tier.
+    One uniformisation step is ``pi + (pi Q) / Lambda`` with ``Lambda`` just
+    above the largest exit rate, so no transition matrix is ever formed.
+    Stops once no entry moves by ``tol`` or after
+    :data:`_POWER_MAX_ITERATIONS` steps, returning the last iterate.
     """
     uniformisation_rate = rate_scale * 1.05 + 1e-12
     if initial_guess is not None and initial_guess.sum() > 0:
@@ -609,7 +558,7 @@ def _power_iteration_callable(
         pi = pi / pi.sum()
     else:
         pi = np.full(num_states, 1.0 / num_states)
-    for _ in range(max_iterations):
+    for _ in range(_POWER_MAX_ITERATIONS):
         new_pi = pi + np.asarray(pi_q(pi)).reshape(-1) / uniformisation_rate
         new_pi = np.clip(new_pi, 0.0, None)
         new_pi /= new_pi.sum()

@@ -26,8 +26,9 @@ which the test-suite asserts exactly.
 
 The local family triplets depend only on the two service MAPs, so one
 assembler instance is reused across an entire population sweep;
-:func:`embed_distribution` projects a solved steady state onto a neighbouring
-population's state space to warm-start iterative linear solvers.
+:func:`remap_distribution` carries a solved steady state onto a neighbouring
+population's state space — the warm start of population sweeps and the
+population-change rule at the segment boundaries of time-varying solves.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from repro.maps.map_process import MAP
 from repro.queueing.ctmc import assemble_generator
 
-__all__ = ["NetworkStateSpace", "KronGeneratorAssembler", "embed_distribution"]
+__all__ = ["NetworkStateSpace", "KronGeneratorAssembler", "remap_distribution"]
 
 #: Rate of the exponential stage that approximates an immediate transition
 #: when the think time is zero (matches the historical per-state builder).
@@ -97,6 +98,48 @@ class NetworkStateSpace:
             phase_db = np.tile(np.arange(self.k_db), self.k_front * self.num_blocks)
             self._state_arrays = (n_front, n_db, phase_front, phase_db)
         return self._state_arrays
+
+
+
+def remap_distribution(
+    source_space: NetworkStateSpace,
+    distribution: np.ndarray,
+    target_space: NetworkStateSpace,
+) -> np.ndarray:
+    """Carry a distribution across a population change.
+
+    Phases are preserved (the spaces must share their MAP orders).  A block
+    ``(n_front, n_db)`` keeps its queue contents when the new population can
+    hold them (added customers start thinking); when the population shrinks
+    below ``n_front + n_db``, the excess customers are dropped from the front
+    queue first, then the database queue — the same truncation rule the
+    time-varying simulators apply, so transient solutions and simulated
+    trajectories stay aligned through downward population steps.  Population
+    sweeps grow the population, so their warm start keeps every block's mass
+    verbatim.
+    """
+    if (source_space.k_front, source_space.k_db) != (
+        target_space.k_front,
+        target_space.k_db,
+    ):
+        raise ValueError("state spaces have different phase orders")
+    n_front = source_space.block_n_front
+    n_db = source_space.block_n_db
+    excess = np.maximum(n_front + n_db - target_space.population, 0)
+    drop_front = np.minimum(n_front, excess)
+    new_front = n_front - drop_front
+    new_db = n_db - (excess - drop_front)
+    target_blocks = target_space.block_index(new_front, new_db)
+    K = source_space.block_size
+    local = np.arange(K)
+    source_idx = (np.arange(source_space.num_blocks)[:, None] * K + local[None, :]).ravel()
+    target_idx = (target_blocks[:, None] * K + local[None, :]).ravel()
+    result = np.zeros(target_space.num_states)
+    np.add.at(result, target_idx, distribution[source_idx])
+    total = result.sum()
+    if total <= 0:
+        raise ValueError("no probability mass carried over the population change")
+    return result / total
 
 
 def _positive_triplets(matrix: np.ndarray):
@@ -216,36 +259,3 @@ class KronGeneratorAssembler:
             rates = np.empty(0, dtype=float)
         return assemble_generator(rows, cols, rates, space.num_states)
 
-
-def embed_distribution(
-    source_space: NetworkStateSpace,
-    distribution: np.ndarray,
-    target_space: NetworkStateSpace,
-) -> np.ndarray | None:
-    """Project a steady state onto a neighbouring population's state space.
-
-    Every ``(n_front, n_db)`` block shared by the two spaces keeps its
-    probability mass (states that exist only in the target get zero), and the
-    result is renormalised.  Used to warm-start iterative linear solvers
-    during population sweeps; returns ``None`` when no mass carries over.
-    """
-    if (source_space.k_front, source_space.k_db) != (target_space.k_front, target_space.k_db):
-        raise ValueError("state spaces have different phase orders")
-    keep = source_space.block_n_front + source_space.block_n_db <= target_space.population
-    source_blocks = np.nonzero(keep)[0]
-    if source_blocks.size == 0:
-        return None
-    target_blocks = (
-        target_space.block_offset[source_space.block_n_front[keep]]
-        + source_space.block_n_db[keep]
-    )
-    K = source_space.block_size
-    local = np.arange(K)
-    source_idx = (source_blocks[:, None] * K + local[None, :]).ravel()
-    target_idx = (target_blocks[:, None] * K + local[None, :]).ravel()
-    guess = np.zeros(target_space.num_states)
-    guess[target_idx] = distribution[source_idx]
-    total = guess.sum()
-    if total <= 0:
-        return None
-    return guess / total

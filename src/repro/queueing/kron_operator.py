@@ -17,13 +17,13 @@ balance CSC + ILU fill of the materialized tier.
 
 Preconditioning comes in two layers:
 
-* :class:`LevelSweepPreconditioner` — block-Jacobi over population *levels*
-  with **exact** within-level solves.  Grouped by ``n_front`` the balance
-  matrix's level blocks are block-upper-bidiagonal in ``n_db`` (only database
-  completions move ``n_db`` inside a level), grouped by ``n_db`` they are
-  lower-bidiagonal in ``n_front`` (only think completions), and grouped by
-  the total station population ``n_front + n_db`` they are bidiagonal along
-  the front-completion diagonal.  Each orientation is one QBD-style
+* :class:`LevelSweepPreconditioner` — the three level sweeps: block-Jacobi
+  over population *levels* with **exact** within-level solves.  Grouped by
+  ``n_front`` the balance matrix's level blocks are block-upper-bidiagonal in
+  ``n_db`` (only database completions move ``n_db`` inside a level), grouped
+  by ``n_db`` they are lower-bidiagonal in ``n_front`` (only think
+  completions), and grouped by the total station population
+  ``n_front + n_db`` they are bidiagonal along the front-completion diagonal.  Each orientation is one QBD-style
   substitution sweep with the per-block ``K x K`` inverses, *batched across
   levels* (``population + 1`` vectorised steps, no per-block Python).
 * :class:`MultilevelPreconditioner` — the production preconditioner of the
@@ -82,16 +82,7 @@ __all__ = [
     "MatrixFreeGenerator",
     "LevelSweepPreconditioner",
     "MultilevelPreconditioner",
-    "PRECONDITIONER_MODES",
 ]
-
-#: Level-sweep orientations understood by :class:`LevelSweepPreconditioner`:
-#: ``nf`` solves each fixed-``n_front`` level (backward in ``n_db``, exact on
-#: database completions), ``ndb`` each fixed-``n_db`` level (forward in
-#: ``n_front``, exact on think completions), ``front`` each fixed-total-
-#: population diagonal (backward in ``n_front``, exact on front completions),
-#: and ``alternating`` composes ``ndb`` then ``nf`` multiplicatively.
-PRECONDITIONER_MODES = ("alternating", "nf", "ndb", "front")
 
 
 class MatrixFreeGenerator:
@@ -270,13 +261,9 @@ class MatrixFreeGenerator:
             (n, n), matvec=self.balance_matvec, dtype=float
         )
 
-    def preconditioner(self, kind: str = "multilevel"):
-        """Balance-system preconditioner: ``multilevel`` (production; the
-        historical name ``two_level`` is accepted) or a single
-        :data:`PRECONDITIONER_MODES` sweep."""
-        if kind in ("multilevel", "two_level"):
-            return MultilevelPreconditioner(self)
-        return LevelSweepPreconditioner(self, mode=kind)
+    def preconditioner(self) -> "MultilevelPreconditioner":
+        """The balance-system preconditioner of the matrix-free tier."""
+        return MultilevelPreconditioner(self)
 
     # ------------------------------------------------------------------
     # Shared preconditioner ingredients
@@ -355,7 +342,7 @@ class MatrixFreeGenerator:
 
 
 class LevelSweepPreconditioner:
-    """Block-Jacobi over population levels with exact within-level solves.
+    """The three level sweeps: exact block solves over population levels.
 
     For the balance matrix ``A`` (``Q^T`` with the normalisation row), the
     diagonal block of a fixed-``n_front`` level couples its lattice blocks
@@ -365,20 +352,21 @@ class LevelSweepPreconditioner:
     front completions.  Each orientation is solved *exactly* by one
     substitution sweep with the per-block ``K x K`` inverses, batched across
     levels (``population + 1`` vectorised steps per application — a one-sweep
-    QBD-style smoother with no per-block Python).
+    QBD-style smoother with no per-block Python):
 
-    ``alternating`` composes the ``ndb`` and ``nf`` orientations
-    multiplicatively (``z = z1 + P_nf^{-1}(r - A z1)``).
+    * :meth:`_solve_levels_nf` — every fixed-``n_front`` level (backward in
+      ``n_db``, exact on database completions);
+    * :meth:`_solve_levels_ndb` — every fixed-``n_db`` level (forward in
+      ``n_front``, exact on think completions);
+    * :meth:`_solve_levels_front` — every fixed-total-population diagonal
+      (backward in ``n_front``, exact on front completions).
+
+    :class:`MultilevelPreconditioner` composes them around its coarse
+    correction.
     """
 
-    def __init__(self, operator: MatrixFreeGenerator, mode: str = "alternating") -> None:
-        if mode not in PRECONDITIONER_MODES:
-            raise ValueError(
-                f"unknown preconditioner mode {mode!r}; expected one of "
-                f"{PRECONDITIONER_MODES}"
-            )
+    def __init__(self, operator: MatrixFreeGenerator) -> None:
         self.operator = operator
-        self.mode = mode
         self.space = operator.space
         table, _ = operator.diagonal_block_inverses()
         #: ``_runs[g, s]``: inverse of the diagonal block with gate ``g`` and
@@ -455,28 +443,6 @@ class LevelSweepPreconditioner:
             self._solve_step(gate, gate + 1, n_front, rhs, out[start:stop])
         return out
 
-    # ------------------------------------------------------------------
-    def solve(self, residual: np.ndarray) -> np.ndarray:
-        """Apply ``M^{-1}`` to a residual vector."""
-        K = self.space.block_size
-        r_blocks = np.asarray(residual, dtype=float).reshape(-1, K)
-        out = np.empty_like(r_blocks)
-        if self.mode == "nf":
-            return self._solve_levels_nf(r_blocks, out).reshape(-1)
-        if self.mode == "front":
-            return self._solve_levels_front(r_blocks, out).reshape(-1)
-        first = self._solve_levels_ndb(r_blocks, out).reshape(-1)
-        if self.mode == "ndb":
-            return first
-        correction = residual - self.operator.balance_matvec(first)
-        out_nf = np.empty_like(r_blocks)
-        second = self._solve_levels_nf(correction.reshape(-1, K), out_nf)
-        return first + second.reshape(-1)
-
-    def as_linear_operator(self) -> sparse_linalg.LinearOperator:
-        n = self.operator.num_states
-        return sparse_linalg.LinearOperator((n, n), matvec=self.solve, dtype=float)
-
 
 class MultilevelPreconditioner:
     """Level sweeps + recursive multilevel lattice coarse correction.
@@ -507,7 +473,7 @@ class MultilevelPreconditioner:
     def __init__(self, operator: MatrixFreeGenerator) -> None:
         self.operator = operator
         self.block_size = operator.space.block_size
-        self._sweep = LevelSweepPreconditioner(operator, mode="nf")
+        self._sweep = LevelSweepPreconditioner(operator)
         #: The coarse Galerkin hierarchy (exposed for tests and diagnostics).
         self.hierarchy = LatticeHierarchy(operator)
 

@@ -23,7 +23,9 @@ The generator is assembled from the network's Kronecker block structure
 — and per-state metrics are vectorised reductions over the enumeration
 arrays.  :meth:`MapClosedNetworkSolver.solve_sweep` reuses the block
 structure across populations and warm-starts the iterative linear solver
-from the previous population's steady state.
+from the previous population's steady state.  ``solve``, ``solve_sweep``
+and ``solve_distribution`` share one per-population solve, so the three
+return equal metrics for the same population, tier and warm start.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.queueing.kron import (
     ZERO_THINK_RATE,
     KronGeneratorAssembler,
     NetworkStateSpace,
-    embed_distribution,
+    remap_distribution,
 )
 
 __all__ = ["MapNetworkResult", "MapClosedNetworkSolver", "solve_map_closed_network"]
@@ -240,27 +242,30 @@ class MapClosedNetworkSolver:
             num_states=space.num_states,
         )
 
-    def _steady_state(
+    def _solve_space(
         self,
         space: NetworkStateSpace,
-        tier: str,
+        tier: str | None,
         guess: np.ndarray | None,
-        stats: SolveStats | None = None,
-    ) -> tuple[np.ndarray, str]:
-        """Steady state of ``space`` through the requested tier.
+    ) -> tuple[np.ndarray, MapNetworkResult]:
+        """Steady state and metrics of one population's state space.
 
-        Returns ``(distribution, tier_used)``.  A matrix-free failure falls
+        The one per-population solve behind :meth:`solve`,
+        :meth:`solve_sweep` and :meth:`solve_distribution`: picks the tier
+        (``tier`` forces one), solves, and returns ``(distribution, result)``
+        with the solver diagnostics attached.  A matrix-free failure falls
         back to the materialized ILU+Krylov tier (logged), so a forced or
-        size-selected ``matrix_free`` never strands the caller.  ``stats``
-        (when given) accumulates attempt timings and Krylov iteration counts
-        across the tiers actually tried.
+        size-selected ``matrix_free`` never strands the caller; the
+        diagnostics then cover the attempts of both tiers.
         """
+        tier = choose_solver_tier(space.num_states, override=tier)
+        stats = SolveStats()
+        distribution = None
         if tier == "matrix_free":
             try:
                 operator = self._assembler.operator(space)
-                return (
-                    steady_state_matrix_free(operator, initial_guess=guess, stats=stats),
-                    tier,
+                distribution = steady_state_matrix_free(
+                    operator, initial_guess=guess, stats=stats
                 )
             except (RuntimeError, ValueError, MemoryError,
                     np.linalg.LinAlgError) as error:
@@ -269,11 +274,13 @@ class MapClosedNetworkSolver:
                     "materialized ilu_krylov tier", type(error).__name__, error,
                 )
                 tier = "ilu_krylov"
-        generator = self._assembler.build(space)
-        distribution = steady_state_distribution(
-            generator, initial_guess=guess, prefer=tier, stats=stats
-        )
-        return distribution, tier
+        if distribution is None:
+            distribution = steady_state_distribution(
+                self._assembler.build(space), initial_guess=guess, tier=tier,
+                stats=stats,
+            )
+        result = self._diagnostics(self._metrics(space, distribution), tier, stats)
+        return distribution, result
 
     @staticmethod
     def _diagnostics(result: MapNetworkResult, tier_used: str,
@@ -334,29 +341,24 @@ class MapClosedNetworkSolver:
 
         ``tier`` forces a solver tier (``direct``, ``ilu_krylov`` or
         ``matrix_free``); by default :func:`repro.queueing.ctmc.choose_solver_tier`
-        picks from the state count (the ``REPRO_SOLVER_TIER`` environment
-        variable overrides).  The result records the tier that produced it.
-        ``initial_guess`` warm-starts the iterative tiers (the direct solve
-        ignores it, so small systems return identical results either way);
-        piecewise-stationary sweeps pass the previous segment's steady state.
+        picks from the state count.  The result records the tier that
+        produced it.  ``initial_guess`` warm-starts the iterative tiers (the
+        direct solve ignores it, so small systems return identical results
+        either way); piecewise-stationary sweeps pass the previous segment's
+        steady state.
         """
-        if population < 1:
-            raise ValueError("population must be >= 1")
-        space = self.state_space(population)
-        chosen = choose_solver_tier(space.num_states, override=tier)
-        stats = SolveStats()
-        distribution, used = self._steady_state(space, chosen, initial_guess, stats)
-        return self._diagnostics(self._metrics(space, distribution), used, stats)
+        return self.solve_distribution(population, tier, initial_guess)[2]
 
     def solve_distribution(
         self,
         population: int,
         tier: str | None = None,
         initial_guess: np.ndarray | None = None,
-    ) -> tuple[NetworkStateSpace, np.ndarray, str]:
-        """Steady-state distribution (not just metrics) of one population.
+    ) -> tuple[NetworkStateSpace, np.ndarray, MapNetworkResult]:
+        """Steady-state distribution and metrics of one population.
 
-        Returns ``(space, distribution, tier_used)``.  The piecewise layers
+        Returns ``(space, distribution, result)``; ``result`` is what
+        :meth:`solve` returns for the same arguments.  The piecewise layers
         in :mod:`repro.queueing.transient` chain these distributions across
         segments — as warm starts for the next segment's steady state, or as
         the initial condition of the next segment's transient.
@@ -364,9 +366,8 @@ class MapClosedNetworkSolver:
         if population < 1:
             raise ValueError("population must be >= 1")
         space = self.state_space(population)
-        chosen = choose_solver_tier(space.num_states, override=tier)
-        distribution, used = self._steady_state(space, chosen, initial_guess)
-        return space, distribution, used
+        distribution, result = self._solve_space(space, tier, initial_guess)
+        return space, distribution, result
 
     def solve_sweep(
         self,
@@ -377,13 +378,14 @@ class MapClosedNetworkSolver:
 
         Populations are solved in ascending order (each distinct value once)
         so that the iterative linear solver of each population can be
-        warm-started from the previous population's steady state embedded
-        into the larger state space; results are returned in request order.
-        The direct sparse solve used for small systems ignores the warm
-        start, so sweep results are identical to individual :meth:`solve`
-        calls there and agree to solver tolerance everywhere else.  The
-        solver tier is chosen per population (warm starts carry across tier
-        boundaries); ``tier`` forces one for the whole sweep.
+        warm-started from the previous population's steady state, carried
+        into the larger state space by :func:`remap_distribution`; results
+        are returned in request order.  The direct sparse solve used for
+        small systems ignores the warm start, so sweep results are identical
+        to individual :meth:`solve` calls there and agree to solver tolerance
+        everywhere else.  The solver tier is chosen per population (warm
+        starts carry across tier boundaries); ``tier`` forces one for the
+        whole sweep.
         """
         requested = [int(n) for n in populations]
         targets = sorted(set(requested))
@@ -394,15 +396,10 @@ class MapClosedNetworkSolver:
         previous: tuple[NetworkStateSpace, np.ndarray] | None = None
         for population in targets:
             space = self.state_space(population)
-            chosen = choose_solver_tier(space.num_states, override=tier)
             guess = None
             if previous is not None:
-                guess = embed_distribution(previous[0], previous[1], space)
-            stats = SolveStats()
-            distribution, used = self._steady_state(space, chosen, guess, stats)
-            solved[population] = self._diagnostics(
-                self._metrics(space, distribution), used, stats
-            )
+                guess = remap_distribution(previous[0], previous[1], space)
+            distribution, solved[population] = self._solve_space(space, tier, guess)
             previous = (space, distribution)
         return [solved[population] for population in requested]
 

@@ -34,13 +34,13 @@ the excess customers from the front queue first, then the database queue
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.maps.failures import frozen_map
 from repro.maps.map_process import MAP
-from repro.queueing.kron import NetworkStateSpace
+from repro.queueing.kron import NetworkStateSpace, remap_distribution
 from repro.queueing.map_network import MapClosedNetworkSolver, MapNetworkResult
 
 __all__ = [
@@ -118,45 +118,6 @@ def _require_equal_orders(segments: list[NetworkSegment] | tuple[NetworkSegment,
                 "all segments must use service MAPs of equal orders so phases "
                 "carry over at regime switches"
             )
-
-
-def remap_distribution(
-    source_space: NetworkStateSpace,
-    distribution: np.ndarray,
-    target_space: NetworkStateSpace,
-) -> np.ndarray:
-    """Carry a distribution across a population change at a segment boundary.
-
-    Phases are preserved (the spaces must share their MAP orders).  A block
-    ``(n_front, n_db)`` keeps its queue contents when the new population can
-    hold them (added customers start thinking); when the population shrinks
-    below ``n_front + n_db``, the excess customers are dropped from the front
-    queue first, then the database queue — the same truncation rule the
-    time-varying simulators apply, so transient solutions and simulated
-    trajectories stay aligned through downward population steps.
-    """
-    if (source_space.k_front, source_space.k_db) != (
-        target_space.k_front,
-        target_space.k_db,
-    ):
-        raise ValueError("state spaces have different phase orders")
-    n_front = source_space.block_n_front
-    n_db = source_space.block_n_db
-    excess = np.maximum(n_front + n_db - target_space.population, 0)
-    drop_front = np.minimum(n_front, excess)
-    new_front = n_front - drop_front
-    new_db = n_db - (excess - drop_front)
-    target_blocks = target_space.block_index(new_front, new_db)
-    K = source_space.block_size
-    local = np.arange(K)
-    source_idx = (np.arange(source_space.num_blocks)[:, None] * K + local[None, :]).ravel()
-    target_idx = (target_blocks[:, None] * K + local[None, :]).ravel()
-    result = np.zeros(target_space.num_states)
-    np.add.at(result, target_idx, distribution[source_idx])
-    total = result.sum()
-    if total <= 0:
-        raise ValueError("no probability mass carried over the population change")
-    return result / total
 
 
 def uniformized_transient(
@@ -274,11 +235,8 @@ def solve_piecewise_stationary(
             if previous is not None:
                 space = solver.state_space(segment.population)
                 guess = remap_distribution(previous[0], previous[1], space)
-            space, distribution, used = solver.solve_distribution(
+            space, distribution, result = solver.solve_distribution(
                 segment.population, tier=tier, initial_guess=guess
-            )
-            result = replace(
-                solver.metrics_from_distribution(space, distribution), solver_tier=used
             )
             solved[key] = (space, distribution, result)
         results.append(result)

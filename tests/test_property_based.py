@@ -232,7 +232,7 @@ class TestDirectSolveMatchesDenseLU:
         )
         generator = solver._build_generator(population)
         stats = SolveStats()
-        direct = steady_state_distribution(generator, prefer="direct", stats=stats)
+        direct = steady_state_distribution(generator, tier="direct", stats=stats)
         assert [(a.strategy, a.accepted) for a in stats.attempts] == [("direct", True)]
         balance = generator.T.toarray()
         balance[-1, :] = 1.0

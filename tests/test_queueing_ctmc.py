@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sparse
 
 from repro.queueing.ctmc import SparseGeneratorBuilder, steady_state_distribution
-from repro.queueing.ctmc import _power_iteration
+from repro.queueing.ctmc import _power_iteration_callable
 
 
 class TestBuilder:
@@ -97,5 +97,8 @@ class TestSteadyState:
         builder.add(1, 0, 0.3)
         generator = builder.build()
         direct = steady_state_distribution(generator)
-        iterative = _power_iteration(generator, tol=1e-13)
+        rate_scale = float(np.abs(generator.diagonal()).max())
+        iterative = _power_iteration_callable(
+            lambda pi: pi @ generator, rate_scale, 3, tol=1e-13
+        )
         assert np.allclose(direct, iterative, atol=1e-6)

@@ -17,7 +17,7 @@ from repro.maps.map2 import (
     map2_from_moments_and_decay,
     map2_hyperexponential_renewal,
 )
-from repro.queueing.kron import KronGeneratorAssembler, NetworkStateSpace, embed_distribution
+from repro.queueing.kron import KronGeneratorAssembler, NetworkStateSpace, remap_distribution
 from repro.queueing.map_network import MapClosedNetworkSolver
 
 
@@ -136,31 +136,41 @@ class TestSweepWarmStart:
 
 
 class TestEmbedDistribution:
+    """:func:`remap_distribution` embedding a steady state into a neighbouring
+    population's space: the warm start of population sweeps."""
+
     def test_identity_embedding(self):
         space = NetworkStateSpace(3, 1, 2)
         distribution = np.random.default_rng(0).dirichlet(np.ones(space.num_states))
-        embedded = embed_distribution(space, distribution, space)
+        embedded = remap_distribution(space, distribution, space)
         assert np.allclose(embedded, distribution)
 
-    def test_grow_preserves_mass_on_shared_blocks(self):
-        small = NetworkStateSpace(2, 1, 2)
-        large = NetworkStateSpace(4, 1, 2)
+    @pytest.mark.parametrize("orders", [(1, 2), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("populations", [(1, 2), (2, 4), (7, 30), (30, 31)])
+    def test_grow_preserves_mass_on_shared_blocks(self, orders, populations):
+        """Growing a sweep's population keeps every block's probabilities
+        verbatim (states new to the larger space get zero)."""
+        small = NetworkStateSpace(populations[0], *orders)
+        large = NetworkStateSpace(populations[1], *orders)
         distribution = np.random.default_rng(1).dirichlet(np.ones(small.num_states))
-        embedded = embed_distribution(small, distribution, large)
+        embedded = remap_distribution(small, distribution, large)
         assert embedded.sum() == pytest.approx(1.0)
-        n_front, n_db, _, _ = large.state_arrays()
-        assert embedded[n_front + n_db > 2].sum() == 0.0
+        n_front, n_db, phase_front, phase_db = small.state_arrays()
+        shared = large.state_index(n_front, n_db, phase_front, phase_db)
+        np.testing.assert_allclose(embedded[shared], distribution, rtol=1e-14, atol=0)
+        large_front, large_db, _, _ = large.state_arrays()
+        assert embedded[large_front + large_db > populations[0]].sum() == 0.0
 
     def test_shrink_renormalises(self):
         large = NetworkStateSpace(4, 2, 1)
         small = NetworkStateSpace(2, 2, 1)
         distribution = np.random.default_rng(2).dirichlet(np.ones(large.num_states))
-        embedded = embed_distribution(large, distribution, small)
+        embedded = remap_distribution(large, distribution, small)
         assert embedded.shape == (small.num_states,)
         assert embedded.sum() == pytest.approx(1.0)
 
     def test_mismatched_orders_rejected(self):
         with pytest.raises(ValueError):
-            embed_distribution(
+            remap_distribution(
                 NetworkStateSpace(2, 1, 2), np.ones(12), NetworkStateSpace(2, 2, 2)
             )

@@ -1,8 +1,10 @@
-"""Solver-tier selection, overrides, fallbacks and cross-tier agreement.
+"""Solver-tier selection, the ``tier=`` override, fallbacks and agreement.
 
 Pins which steady-state tier is chosen at representative state-space sizes,
-covers the environment/keyword overrides the README documents for debugging,
-asserts that tier fallbacks are logged at WARNING, and cross-validates the
+covers the ``tier=`` override the README documents for debugging, asserts
+that strategy and tier fallbacks are logged at WARNING, that a power
+iteration which fails validation raises instead of being accepted, that the
+solver's entry points return equal metrics, and cross-validates the
 matrix-free tier against the materialized ones on real networks.
 """
 
@@ -18,15 +20,14 @@ from repro.queueing import ctmc
 from repro.queueing.ctmc import (
     DIRECT_SOLVE_STATE_LIMIT,
     MATERIALIZED_STATE_LIMIT,
-    MATERIALIZED_STRATEGIES,
-    MATRIX_FREE_STRATEGIES,
     SolveStats,
-    TIER_ENV_VAR,
+    SteadyStateError,
     choose_solver_tier,
     steady_state_distribution,
     steady_state_matrix_free,
 )
 from repro.queueing.map_network import MapClosedNetworkSolver
+from repro.queueing.transient import NetworkSegment, solve_piecewise_stationary
 
 
 @pytest.fixture()
@@ -59,24 +60,17 @@ class TestTierSelection:
         assert choose_solver_tier(10, override="matrix_free") == "matrix_free"
         assert choose_solver_tier(10_000_000, override="direct") == "direct"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV_VAR, "ilu_krylov")
-        assert choose_solver_tier(10) == "ilu_krylov"
-        # The keyword wins over the environment.
-        assert choose_solver_tier(10, override="direct") == "direct"
-
-    def test_auto_and_empty_mean_default(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV_VAR, "")
-        assert choose_solver_tier(10) == "direct"
-        monkeypatch.setenv(TIER_ENV_VAR, "auto")
-        assert choose_solver_tier(10) == "direct"
-
-    def test_unknown_tier_rejected(self, monkeypatch):
+    def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError):
             choose_solver_tier(10, override="quantum")
-        monkeypatch.setenv(TIER_ENV_VAR, "quantum")
+        # "auto" is not a tier: leaving the override out is the default.
         with pytest.raises(ValueError):
-            choose_solver_tier(10)
+            choose_solver_tier(10, override="auto")
+
+    def test_environment_does_not_force_a_tier(self, monkeypatch):
+        """``tier=`` is the only override; no environment variable is read."""
+        monkeypatch.setenv("REPRO_SOLVER_TIER", "ilu_krylov")
+        assert choose_solver_tier(10) == "direct"
 
 
 class TestCrossTierAgreement:
@@ -163,7 +157,7 @@ class TestFallbacksAreLogged:
         """An unusable preconditioner downgrades to unpreconditioned Krylov."""
         from repro.queueing import kron_operator
 
-        def boom(self, kind="two_level"):
+        def boom(self):
             raise RuntimeError("synthetic preconditioner failure")
 
         monkeypatch.setattr(kron_operator.MatrixFreeGenerator, "preconditioner", boom)
@@ -174,43 +168,103 @@ class TestFallbacksAreLogged:
         assert result.throughput == pytest.approx(reference.throughput, rel=1e-6)
 
 
-class TestPreferValidation:
-    """Both steady-state entry points validate ``prefer`` the same way."""
+def _fail_linear_solvers(monkeypatch):
+    """Make every strategy but power iteration raise, in both entry points."""
 
-    def test_materialized_unknown_prefer_rejected(self, solver):
-        generator = solver._build_generator(5)
-        with pytest.raises(ValueError, match="unknown solver strategy 'bogus'"):
-            steady_state_distribution(generator, prefer="bogus")
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic linear-solver failure")
 
-    def test_matrix_free_unknown_prefer_rejected(self, solver):
-        operator = solver._assembler.operator(solver.state_space(5))
-        # "direct" is a materialized strategy, not a matrix-free one: the
-        # error message names the allowed set so the mistake is obvious.
-        with pytest.raises(ValueError, match="expected one of"):
-            steady_state_matrix_free(operator, prefer="direct")
-        assert "direct" in MATERIALIZED_STRATEGIES
-        assert "direct" not in MATRIX_FREE_STRATEGIES
+    for name in ("_direct_solve", "_ilu_krylov_solve", "_matrix_free_bicgstab",
+                 "_matrix_free_gmres"):
+        monkeypatch.setattr(ctmc, name, boom)
 
-    def test_power_accepted_in_both_tiers(self, solver):
+
+class TestPowerLastResort:
+    """Power iteration ends every tier's list and is validated like the rest."""
+
+    def test_power_accepted_in_both_tiers(self, solver, monkeypatch):
         generator = solver._build_generator(4)
-        stats = SolveStats()
-        distribution = steady_state_distribution(generator, prefer="power", stats=stats)
-        assert [attempt.strategy for attempt in stats.attempts] == ["power"]
-        assert stats.attempts[-1].accepted
         reference = steady_state_distribution(generator)
+        operator = solver._assembler.operator(solver.state_space(4))
+        _fail_linear_solvers(monkeypatch)
+
+        stats = SolveStats()
+        distribution = steady_state_distribution(generator, stats=stats)
+        assert [(a.strategy, a.accepted) for a in stats.attempts] == [
+            ("direct", False), ("ilu_krylov", False), ("power", True),
+        ]
         np.testing.assert_allclose(distribution, reference, atol=1e-9)
 
-        operator = solver._assembler.operator(solver.state_space(4))
         free_stats = SolveStats()
-        free = steady_state_matrix_free(operator, prefer="power", stats=free_stats)
-        assert [attempt.strategy for attempt in free_stats.attempts] == ["power"]
+        free = steady_state_matrix_free(operator, stats=free_stats)
+        assert [(a.strategy, a.accepted) for a in free_stats.attempts] == [
+            ("bicgstab", False), ("gmres", False), ("power", True),
+        ]
+        assert free_stats.attempts[-1].iterations is None
         np.testing.assert_allclose(free, reference, atol=1e-9)
 
-    def test_matrix_free_prefer_gmres_goes_first(self, solver):
+    def test_unconverged_power_raises_steady_state_error(self, solver, monkeypatch):
         operator = solver._assembler.operator(solver.state_space(6))
+        _fail_linear_solvers(monkeypatch)
+        monkeypatch.setattr(ctmc, "_POWER_MAX_ITERATIONS", 3)
         stats = SolveStats()
-        steady_state_matrix_free(operator, prefer="gmres", stats=stats)
-        assert stats.attempts[0].strategy == "gmres"
+        with pytest.raises(SteadyStateError, match=f"{operator.num_states} states"):
+            steady_state_matrix_free(operator, stats=stats)
+        assert [(a.strategy, a.accepted) for a in stats.attempts] == [
+            ("bicgstab", False), ("gmres", False), ("power", False),
+        ]
+
+    def test_materialized_power_failure_raises(self, solver, monkeypatch):
+        generator = solver._build_generator(5)
+        _fail_linear_solvers(monkeypatch)
+        monkeypatch.setattr(ctmc, "_POWER_MAX_ITERATIONS", 2)
+        stats = SolveStats()
+        with pytest.raises(SteadyStateError, match="residual"):
+            steady_state_distribution(generator, tier="ilu_krylov", stats=stats)
+        assert [a.strategy for a in stats.attempts] == ["ilu_krylov", "direct", "power"]
+        assert not any(a.accepted for a in stats.attempts)
+
+    def test_steady_state_error_is_a_runtime_error(self, solver, caplog, monkeypatch):
+        """A failed matrix-free tier still falls back to the materialized one."""
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("synthetic Krylov failure")
+
+        for name in ("_matrix_free_bicgstab", "_matrix_free_gmres"):
+            monkeypatch.setattr(ctmc, name, boom)
+        monkeypatch.setattr(ctmc, "_POWER_MAX_ITERATIONS", 2)
+        with caplog.at_level(logging.WARNING):
+            result = solver.solve(4, tier="matrix_free")
+        assert result.solver_tier == "ilu_krylov"
+        assert [a["strategy"] for a in result.solver_attempts] == [
+            "bicgstab", "gmres", "power", "ilu_krylov",
+        ]
+        assert result.solver_attempts[-1]["accepted"] is True
+        assert any("SteadyStateError" in record.message for record in caplog.records)
+
+
+class TestEntryPointsAgree:
+    """``solve``, ``solve_sweep`` and a one-segment piecewise solve share one
+    per-population solve, so their metrics compare equal."""
+
+    @pytest.mark.parametrize("tier", [None, "direct", "ilu_krylov", "matrix_free"])
+    @pytest.mark.parametrize("population", [6, 45])
+    def test_solve_sweep_and_piecewise_equal(self, solver, tier, population):
+        single = solver.solve(population, tier=tier)
+        swept = solver.solve_sweep([population], tier=tier)[0]
+        segment = NetworkSegment(
+            10.0, solver.front_service, solver.db_service, solver.think_time,
+            population,
+        )
+        piecewise = solve_piecewise_stationary([segment], tier=tier)[0]
+        assert single == swept == piecewise
+        assert single.solver_tier == swept.solver_tier == piecewise.solver_tier
+        assert single.krylov_iterations == piecewise.krylov_iterations
+        _, distribution, result = solver.solve_distribution(population, tier=tier)
+        assert result == single
+        assert single.throughput == solver.metrics_from_distribution(
+            solver.state_space(population), distribution
+        ).throughput
 
 
 class TestSolveDiagnostics:
