@@ -21,7 +21,8 @@ percentile is controlled by the SCV and the branch-probability parameters)
 while the stickiness of the phase chain controls the index of dispersion
 independently of the marginal.
 
-The selection runs on that family's closed forms and builds one :class:`MAP`:
+The selection is one ``np.lexsort`` over a candidate pool, keyed on that
+family's closed forms:
 
 * *Feasibility.*  The index of dispersion is
   ``I = SCV + (SCV - 1) * decay / (1 - decay)`` whatever the branch
@@ -30,26 +31,29 @@ The selection runs on that family's closed forms and builds one :class:`MAP`:
   feasible, one beyond ``tol + CLOSED_FORM_MARGIN`` is not, and only those in
   between are built and checked with the matrix value, so the feasible count
   equals a full matrix scan's.
-* *One p95 per marginal.*  An (SCV, p1) group has one hyper-exponential
-  marginal whatever the decay: its rates are computed once, and the p95 of
-  every feasible group at once by :func:`repro.maps.ph.hyperexp_percentile`.
-* *The paper's key* is ``(p95 error, -rho1)`` with the closed-form lag-1
-  autocorrelation ``rho1 = decay * (SCV - 1) / (2 * SCV)``, so within a group
-  the largest feasible decay wins.
+* *The pool* is the feasible candidates.  With none (tiny tolerances,
+  extreme targets) it is every constructible candidate: better an
+  approximate model than none.
+* *Primary key.*  With a p95 target and a feasible pool, the p95 error.  An
+  (SCV, p1) group has one hyper-exponential marginal whatever the decay: its
+  rates are computed once, and the p95 of every feasible group at once by
+  :func:`repro.maps.ph.hyperexp_percentile`.  Otherwise (the paper gives no
+  rule without a p95) the closed-form I error, errors within
+  ``CLOSED_FORM_MARGIN`` of the pool's best counting as ties.
+* *Tie-breaks.*  The largest closed-form lag-1 autocorrelation
+  ``rho1 = decay * (SCV - 1) / (2 * SCV)``, so within a group the largest
+  feasible decay wins; then grid order, whose p1 axis starts with the
+  balanced means (``None``).
 * Only the chosen candidate is built; its reported I and p95 are the matrix
   :meth:`MAP.index_of_dispersion` and :meth:`MAP.interarrival_percentile`.
 
-Without a p95 target (the paper gives no rule) the feasible candidate with the
-smallest matrix I error wins, ties going to the largest matrix lag-1
-autocorrelation, then grid order; with nothing feasible, the constructible one
-with the smallest matrix I error (first in grid order).  Both build only the
-candidates within the margin of the best closed-form error: no other one can
-reach the matrix minimum.
+The dispersion keys do not depend on the mean, so without a p95 target, or
+with nothing feasible, service times recorded in seconds and the same ones in
+milliseconds get the same (SCV, decay, p1).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -68,12 +72,14 @@ __all__ = [
 
 
 class MapFitError(RuntimeError):
-    """Not a single MAP(2) candidate of the grid could be constructed.
+    """A MAP(2) refit failed.
 
-    Subclasses :class:`RuntimeError` for backward compatibility (callers that
-    caught the historical bare ``RuntimeError`` keep working) but carries the
-    fitting targets, so supervised callers — e.g. the live service's
-    degradation path — can log *why* a refit failed.
+    :func:`fit_map2_from_measurements` always returns the nearest candidate;
+    the live service raises this for a diverged refit (its ``fit-diverge``
+    fault).  Subclasses :class:`RuntimeError` for backward compatibility
+    (callers that caught the historical bare ``RuntimeError`` keep working)
+    but carries the fitting targets, so supervised callers — e.g. the live
+    service's degradation path — can log *why* a refit failed.
 
     Attributes
     ----------
@@ -152,43 +158,38 @@ class FittedServiceProcess:
 # ``index_of_dispersion()`` agree to ~1e-11 relative on the candidate grid.
 CLOSED_FORM_MARGIN = 1e-9
 
+# The candidate grid.  The SCV axis is these values plus 12 geometric steps
+# from 1.05, all capped by the target (see :func:`candidate_grid`).  The p1
+# axis starts with ``None`` (balanced means), so grid order prefers it.
+FIXED_SCVS = (1.05, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
+DECAYS = np.array(
+    [0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.998, 0.999, 0.9995]
+)
+BRANCH_PROBABILITIES = (None, 0.7, 0.9, 0.975)
+
 
 def _closed_form_dispersion(scv, decay):
     """Index of dispersion of the correlated hyper-exponential MAP(2)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return scv + (scv - 1.0) * decay / (1.0 - decay)
+    return scv + (scv - 1.0) * decay / (1.0 - decay)
 
 
-def _grid_axes(target_dispersion, scv_values, decay_values):
-    """The SCV and decay axes of the candidate grid, as float arrays."""
+def _scv_axis(target_dispersion):
+    """The SCV axis of the candidate grid for ``target_dispersion``."""
     if target_dispersion <= 0:
         raise ValueError("target_dispersion must be positive")
-    if scv_values is None:
-        upper = max(2.0, min(1.2 * target_dispersion, 400.0))
-        fixed = [1.05, 1.25, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0]
-        scv_values = np.unique(np.concatenate([fixed, np.geomspace(1.05, upper, 12)]))
-        scv_values = scv_values[scv_values <= upper]
-    if decay_values is None:
-        decay_values = np.array(
-            [0.0, 0.3, 0.5, 0.7, 0.8, 0.9, 0.95, 0.975, 0.99, 0.995, 0.998, 0.999, 0.9995]
-        )
-    return np.asarray(scv_values, dtype=float), np.asarray(decay_values, dtype=float)
+    upper = max(2.0, min(1.2 * target_dispersion, 400.0))
+    scvs = np.unique(np.concatenate([FIXED_SCVS, np.geomspace(1.05, upper, 12)]))
+    return scvs[scvs <= upper]
 
 
-def candidate_grid(
-    target_dispersion: float,
-    scv_values=None,
-    decay_values=None,
-    branch_probabilities=(None, 0.7, 0.9, 0.975),
-) -> list[tuple[float, float, float | None]]:
+def candidate_grid(target_dispersion: float) -> list[tuple[float, float, float | None]]:
     """Enumerate the (SCV, decay, branch-probability) candidate grid.
 
     The SCV grid spans from just above 1 to slightly above the target index
     of dispersion (an SCV larger than ``I`` is unreachable with positive
     correlation, and the paper's workloads all satisfy ``SCV <= I``).
     """
-    scv_axis, decay_axis = _grid_axes(target_dispersion, scv_values, decay_values)
-    grid = itertools.product(scv_axis, decay_axis, branch_probabilities)
+    grid = itertools.product(_scv_axis(target_dispersion), DECAYS, BRANCH_PROBABILITIES)
     return [(float(scv), float(decay), p1) for scv, decay, p1 in grid]
 
 
@@ -197,9 +198,6 @@ def fit_map2_from_measurements(
     index_of_dispersion: float,
     p95: float | None = None,
     dispersion_tolerance: float = 0.20,
-    scv_values=None,
-    decay_values=None,
-    branch_probabilities=(None, 0.7, 0.9, 0.975),
 ) -> FittedServiceProcess:
     """Fit a MAP(2) to the measured (mean, I, p95) triple.
 
@@ -215,8 +213,6 @@ def fit_map2_from_measurements(
     dispersion_tolerance:
         Maximum relative error on ``I`` for a candidate to be retained
         (the paper uses ±20 %).
-    scv_values, decay_values, branch_probabilities:
-        Optional overrides of the candidate grid (see :func:`candidate_grid`).
 
     Returns
     -------
@@ -249,90 +245,69 @@ def fit_map2_from_measurements(
             candidates_feasible=1,
         )
 
-    scv_axis, decay_axis = _grid_axes(index_of_dispersion, scv_values, decay_values)
-    p1_axis = tuple(branch_probabilities)
-    shape = (scv_axis.size, decay_axis.size, len(p1_axis))
-    considered = int(np.prod(shape))
+    scv_axis = _scv_axis(index_of_dispersion)
+    shape = (scv_axis.size, DECAYS.size, len(BRANCH_PROBABILITIES))
     # (p1, rate1, rate2) of each (SCV, p1) marginal, computed once; NaN marks
     # a marginal that no hyper-exponential matches.
-    marginals = np.full((scv_axis.size, len(p1_axis), 3), np.nan)
+    marginals = np.full((scv_axis.size, len(BRANCH_PROBABILITIES), 3), np.nan)
     for s, scv in enumerate(scv_axis):
-        for p, p1 in enumerate(p1_axis):
+        for p, p1 in enumerate(BRANCH_PROBABILITIES):
             try:
                 marginals[s, p] = hyperexp_rates_from_moments(mean, float(scv), p1)
             except ValueError:
                 pass
-    valid_decay = (decay_axis >= 0.0) & (decay_axis < 1.0)
-    constructible = (~np.isnan(marginals[:, None, :, 0]) & valid_decay[None, :, None]).ravel()
-    closed_form = _closed_form_dispersion(scv_axis[:, None, None], decay_axis[None, :, None])
+    constructible = np.broadcast_to(~np.isnan(marginals[:, None, :, 0]), shape).ravel()
+    closed_form = _closed_form_dispersion(scv_axis[:, None, None], DECAYS[None, :, None])
     errors = np.broadcast_to(
         np.abs(closed_form - index_of_dispersion) / index_of_dispersion, shape
     ).ravel()
 
-    @functools.cache
     def build(index):
-        """``(MAP, matrix I, relative I error)`` of the candidate at ``index``."""
+        """The candidate MAP at flat grid ``index``."""
         s, d, p = np.unravel_index(index, shape)
-        candidate = map2_from_moments_and_decay(
-            mean, float(scv_axis[s]), float(decay_axis[d]), p1_axis[p]
+        return map2_from_moments_and_decay(
+            mean, float(scv_axis[s]), float(DECAYS[d]), BRANCH_PROBABILITIES[p]
         )
-        achieved_i = candidate.index_of_dispersion()
-        return candidate, achieved_i, abs(achieved_i - index_of_dispersion) / index_of_dispersion
-
-    def near_best(indices):
-        """``indices`` whose closed-form error is within the margin of the best."""
-        return indices[errors[indices] <= errors[indices].min() + CLOSED_FORM_MARGIN]
 
     feasible = constructible & (errors <= dispersion_tolerance - CLOSED_FORM_MARGIN)
     for index in np.flatnonzero(
         constructible & ~feasible & (errors <= dispersion_tolerance + CLOSED_FORM_MARGIN)
     ):
-        _, achieved_i, relative_error = build(index)
+        achieved_i = build(index).index_of_dispersion()
+        relative_error = abs(achieved_i - index_of_dispersion) / index_of_dispersion
         feasible[index] = achieved_i > 0 and relative_error <= dispersion_tolerance
     feasible = np.flatnonzero(feasible)
 
+    # The balanced-means marginal exists for every SCV of the grid, so the
+    # pool is never empty.
+    pool = feasible if feasible.size else np.flatnonzero(constructible)
+    s, d, p = np.unravel_index(pool, shape)
     if feasible.size and p95 is not None:
-        s, d, p = np.unravel_index(feasible, shape)
-        groups, group_of = np.unique(s * len(p1_axis) + p, return_inverse=True)
+        groups, group_of = np.unique(s * len(BRANCH_PROBABILITIES) + p, return_inverse=True)
         branch, rate1, rate2 = marginals.reshape(-1, 3)[groups].T
         group_p95 = hyperexp_percentile(branch, rate1, rate2, 0.95)
-        p95_errors = np.abs(group_p95[group_of] - p95) / p95
-        rho1 = decay_axis[d] * (scv_axis[s] - 1.0) / (2.0 * scv_axis[s])
-        # Ties (every decay of a group) go to the largest lag-1
-        # autocorrelation: the paper's conservative choice.
-        chosen = feasible[np.lexsort((-rho1, p95_errors))[0]]
-    elif feasible.size:
-        chosen = min(
-            near_best(feasible),
-            key=lambda i: (build(i)[2], -build(i)[0].autocorrelation(1)),
-        )
+        primary = np.abs(group_p95[group_of] - p95) / p95
     else:
-        # Fall back to the candidate with the closest achievable dispersion:
-        # better an approximate model than none (this only happens for very
-        # small tolerance values or extreme targets).
-        candidates = np.flatnonzero(constructible)
-        if not candidates.size:
-            raise MapFitError(
-                "no feasible MAP(2) candidate could be constructed",
-                target_mean=mean,
-                target_dispersion=index_of_dispersion,
-                target_p95=p95,
-                candidates_considered=considered,
-            )
-        chosen = min(near_best(candidates), key=lambda i: build(i)[2])
+        # Closed-form I errors within the margin of the best are ties.
+        primary = errors[pool]
+        primary = np.where(primary <= primary.min() + CLOSED_FORM_MARGIN, 0.0, primary)
+    rho1 = DECAYS[d] * (scv_axis[s] - 1.0) / (2.0 * scv_axis[s])
+    # Ties go to the largest lag-1 autocorrelation (the paper's conservative
+    # choice), then to grid order (lexsort is stable).
+    chosen = pool[np.lexsort((-rho1, primary))[0]]
 
-    fitted, achieved_i, _ = build(chosen)
+    fitted = build(chosen)
     s, d, p = np.unravel_index(chosen, shape)
     return FittedServiceProcess(
         map=fitted,
         mean=mean,
         target_dispersion=index_of_dispersion,
-        achieved_dispersion=achieved_i,
+        achieved_dispersion=fitted.index_of_dispersion(),
         target_p95=p95,
         achieved_p95=fitted.interarrival_percentile(0.95),
         scv=float(scv_axis[s]),
-        decay=float(decay_axis[d]),
-        branch_probability=p1_axis[p],
-        candidates_considered=considered,
+        decay=float(DECAYS[d]),
+        branch_probability=BRANCH_PROBABILITIES[p],
+        candidates_considered=int(np.prod(shape)),
         candidates_feasible=feasible.size or 1,
     )

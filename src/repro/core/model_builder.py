@@ -119,27 +119,15 @@ class ServerModel:
         }
 
 
-def build_server_model(
-    measurement: ServerMeasurement,
-    dispersion_tolerance: float = 0.20,
-    convergence_tolerance: float = 0.20,
-) -> ServerModel:
+def build_server_model(measurement: ServerMeasurement) -> ServerModel:
     """Estimate (mean, I, p95) for one server and fit its MAP(2).
 
-    Parameters
-    ----------
-    measurement:
-        Coarse monitoring data for the server.
-    dispersion_tolerance:
-        ±tolerance on the index of dispersion of the candidate MAP(2)s.
-    convergence_tolerance:
-        Convergence tolerance of the Figure-2 index of dispersion estimator.
+    The estimator and the fit use the paper's 20 % tolerances: the Figure-2
+    convergence test and the ±20 % band on the candidates' index of
+    dispersion.
     """
     dispersion = estimate_index_of_dispersion(
-        measurement.utilizations,
-        measurement.completions,
-        measurement.period,
-        tol=convergence_tolerance,
+        measurement.utilizations, measurement.completions, measurement.period
     )
     mean_service = measurement.mean_service_time
     p95 = estimate_service_percentile(
@@ -149,7 +137,6 @@ def build_server_model(
         mean=mean_service,
         index_of_dispersion=max(dispersion.index_of_dispersion, 1e-6),
         p95=p95,
-        dispersion_tolerance=dispersion_tolerance,
     )
     return ServerModel(
         name=measurement.name,
@@ -221,9 +208,8 @@ def build_multitier_model(
     front: ServerMeasurement,
     database: ServerMeasurement,
     think_time: float,
-    dispersion_tolerance: float = 0.20,
 ) -> MultiTierModel:
     """Build the full two-tier model from per-server monitoring data."""
-    front_model = build_server_model(front, dispersion_tolerance=dispersion_tolerance)
-    database_model = build_server_model(database, dispersion_tolerance=dispersion_tolerance)
+    front_model = build_server_model(front)
+    database_model = build_server_model(database)
     return MultiTierModel(front=front_model, database=database_model, think_time=think_time)

@@ -153,7 +153,6 @@ def measurement_from_series(series: MonitoringSeries) -> ServerMeasurement:
 def build_model_from_testbed(
     result: TestbedResult,
     model_think_time: float = 0.5,
-    dispersion_tolerance: float = 0.20,
 ) -> MultiTierModel:
     """Build the burstiness-aware capacity-planning model from a testbed run.
 
@@ -161,11 +160,8 @@ def build_model_from_testbed(
     (``Z_qn`` in the paper), which may differ from the think time used when
     collecting the estimation trace (``Z_estim``).
     """
-    front_measurement = measurement_from_series(result.front)
-    db_measurement = measurement_from_series(result.database)
     return build_multitier_model(
-        front_measurement,
-        db_measurement,
+        measurement_from_series(result.front),
+        measurement_from_series(result.database),
         think_time=model_think_time,
-        dispersion_tolerance=dispersion_tolerance,
     )

@@ -78,7 +78,6 @@ class TestFitQuality:
         # The fallback still returns a usable process with the exact mean.
         assert fit.map.mean() == pytest.approx(1.0, rel=1e-6)
 
-
     def test_ulp_close_p95s_do_not_override_the_autocorrelation_tie_break(self):
         # A window of a seed-1 service trace: decays 0.7 and 0.8 of the
         # (SCV 12, p1 0.975) marginal are both feasible and share one p95, so
@@ -86,6 +85,14 @@ class TestFitQuality:
         fit = fit_map2_from_measurements(0.01898465657370518, 47.066675579240055, 1 / 24)
         assert (fit.scv, fit.branch_probability, fit.decay) == (12.0, 0.975, 0.8)
         assert fit.candidates_feasible == 66
+
+    @pytest.mark.parametrize("target_i", [50.95, 51.05])
+    def test_equal_closed_form_dispersions_tie_to_the_larger_autocorrelation(self, target_i):
+        # (1.5, 0.99), (1.05, 0.999), (16, 0.7) and (6, 0.9) all have closed-form
+        # I = 51 up to a few ulps, so from either side they tie: the largest
+        # lag-1 autocorrelation wins, then the balanced-means p1 (grid order).
+        fit = fit_map2_from_measurements(1.0, target_i)
+        assert (fit.scv, fit.decay, fit.branch_probability) == (6.0, 0.9, None)
 
 
 class TestCandidateGrid:
@@ -112,39 +119,32 @@ class TestValidation:
 
 
 class TestMapFitError:
-    def _infeasible(self):
+    def _error(self):
         from repro.core.map_fitting import MapFitError
 
-        # A grid holding only sub-exponential SCVs cannot construct a single
-        # hyper-exponential candidate, so not even the closest-achievable
-        # fallback exists.
-        with pytest.raises(MapFitError) as excinfo:
-            fit_map2_from_measurements(
-                1.0,
-                5000.0,
-                p95=2.0,
-                scv_values=(0.1,),
-                decay_values=(0.5,),
-                branch_probabilities=(None,),
-            )
-        return excinfo.value
+        return MapFitError(
+            "fit diverged",
+            target_mean=1.0,
+            target_dispersion=5000.0,
+            target_p95=2.0,
+            candidates_considered=7,
+        )
 
     def test_raised_instead_of_bare_runtime_error(self):
-        error = self._infeasible()
-        assert isinstance(error, RuntimeError)  # backward compatible
+        assert isinstance(self._error(), RuntimeError)  # backward compatible
 
     def test_carries_targets_and_diagnostics(self):
-        error = self._infeasible()
+        error = self._error()
         assert error.target_mean == 1.0
         assert error.target_dispersion == 5000.0
         assert error.target_p95 == 2.0
-        assert error.candidates_considered > 0
+        assert error.candidates_considered == 7
 
     def test_message_names_the_targets(self):
-        error = self._infeasible()
-        message = str(error)
+        message = str(self._error())
         assert "I=5000" in message
-        assert "candidate(s) considered" in message
+        assert "p95=2" in message
+        assert "7 candidate(s) considered" in message
 
     def test_exported_from_core(self):
         from repro.core import MapFitError as exported
@@ -174,21 +174,21 @@ class TestPinnedFits:
     @pytest.mark.parametrize(
         "mean, target_i, p95, tolerance, expected",
         [
-            (0.01, 40.0, None, 0.2, "4fdc4c26f14dc99fc1819e56511d2191b28d1eab793a16afebef7bd63e04f6bf"),
+            (0.01, 40.0, None, 0.2, "0ba2f2f7b606fe87d90d49133aaa2ca90adaaa1ed64cdd3a41dded461b31ffac"),
             (1.0, 30.0, 4.0, 0.2, "81302f87cc576a7b80f9a36dfe8dc2fd2595bf93f9e9225d1e4a3cb8f8c40015"),
             (0.05, 3.0, 0.2, 0.2, "7f0247e3dfe90a224c0e30dab1a0efc7b24221841865d3db84d15c4d8e16c4f4"),
             (2.0, 150.0, 10.0, 0.2, "4e32bc6db119f27834fd587c0f8e218d466bb914b27e262cb2702b046ec56ca7"),
             (1e-4, 400.0, None, 0.2, "584a6e101e4342a25148c088a50d22604ada9eb642e5ab7414731122e885b517"),
-            (0.02, 1.000001, None, 0.2, "0f15662442019bcf00fbe9ba18ed6d569d83c3d06d5285a1e223c4883504bd2b"),
+            (0.02, 1.000001, None, 0.2, "bcad80703d789066446ee8b3a28e58119417ae229a0617a25550ab31c8ba9641"),
             (0.003, 1000.0, 0.05, 0.2, "88d1483c78d4895ec98578fbf8b722c19803822a7d82157847cd481103766f7a"),
             (5.0, 75.0, 20.0, 0.2, "a29153a769e977da52b6c6753b918fe531bfa8367c01aa347a1481ba51248ac3"),
-            (1.0, 37.7, None, 1e-6, "1066c2877a459c45cccf4cb67d5fc06b698d6994c5da820d33d5e0f9806547e7"),
-            (0.5, 13.3, 1.5, 1e-6, "57f79863f94609b6b1ca0c596b2cee600abdc0ca08b1116b27597bb67521c918"),
+            (1.0, 37.7, None, 1e-6, "4fe72c96ef4e195b3a80588e387aba666eeb0cb1ac47ea36388adc75de82f5d6"),
+            (0.5, 13.3, 1.5, 1e-6, "5edc95b589518eaa01efa67bb531b09e94966e26164c94bc98de341a6f3d0ad8"),
         ],
     )
     def test_fit_is_pinned_bit_for_bit(self, mean, target_i, p95, tolerance, expected):
-        # SHA-256 of every field's repr plus the D0/D1 bytes, recorded from
-        # the full-grid scan: the closed-form filter must reproduce it.
+        # SHA-256 of every field's repr plus the D0/D1 bytes: the fit must
+        # reproduce each recorded choice bit for bit.
         fit = fit_map2_from_measurements(mean, target_i, p95, dispersion_tolerance=tolerance)
         digest = hashlib.sha256()
         for field in dataclasses.fields(FittedServiceProcess):

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.map_fitting import (
@@ -77,54 +77,48 @@ class TestMap2Properties:
 def _reference_fit(mean, index_of_dispersion, p95, dispersion_tolerance):
     """The paper's rule as a full-grid scan, every candidate checked by its matrix I.
 
-    With a p95 target, each (SCV, p1) marginal gets one ``brentq`` p95 (the
-    marginal does not depend on ``decay``) and ties go to the largest matrix
-    lag-1 autocorrelation.
+    With a p95 target and a feasible candidate, each (SCV, p1) marginal gets
+    one ``brentq`` p95 (the marginal does not depend on ``decay``) and ties go
+    to the largest matrix lag-1 autocorrelation.  Otherwise the pool (the
+    feasible candidates, or every constructible one) is ranked by matrix I
+    error with errors within 1e-9 of the best tied, then by the largest matrix
+    lag-1 autocorrelation (also within 1e-9), then by grid order.
     """
     grid = candidate_grid(index_of_dispersion)
-    feasible = []
-    considered = 0
+    constructible = []
     for scv, decay, p1 in grid:
-        considered += 1
         try:
             candidate = map2_from_moments_and_decay(mean, scv, decay, p1)
         except ValueError:
             continue
         achieved_i = candidate.index_of_dispersion()
-        if achieved_i <= 0:
-            continue
         relative_error = abs(achieved_i - index_of_dispersion) / index_of_dispersion
-        if relative_error > dispersion_tolerance:
-            continue
-        feasible.append((achieved_i, scv, decay, relative_error, p1, candidate))
-    if not feasible:
-        best = None
-        best_error = np.inf
-        for scv, decay, p1 in grid:
-            try:
-                candidate = map2_from_moments_and_decay(mean, scv, decay, p1)
-            except ValueError:
-                continue
-            achieved_i = candidate.index_of_dispersion()
-            relative_error = abs(achieved_i - index_of_dispersion) / index_of_dispersion
-            if relative_error < best_error:
-                best_error = relative_error
-                best = (achieved_i, scv, decay, relative_error, p1, candidate)
-        feasible = [best]
+        constructible.append((achieved_i, scv, decay, relative_error, p1, candidate))
+    feasible = [
+        entry for entry in constructible
+        if entry[0] > 0 and entry[3] <= dispersion_tolerance
+    ]
 
-    marginal_p95 = {}
+    if feasible and p95 is not None:
+        marginal_p95 = {}
 
-    def selection_key(entry):
-        achieved_i, scv, decay, relative_error, p1, candidate = entry
-        if p95 is None:
-            p95_error = relative_error
-        else:
+        def selection_key(entry):
+            achieved_i, scv, decay, relative_error, p1, candidate = entry
             if (scv, p1) not in marginal_p95:
                 marginal_p95[scv, p1] = hyperexponential_ph(mean, scv, p1).percentile(0.95)
-            p95_error = abs(marginal_p95[scv, p1] - p95) / p95
-        return (p95_error, -candidate.autocorrelation(1))
+            return (abs(marginal_p95[scv, p1] - p95) / p95, -candidate.autocorrelation(1))
 
-    achieved_i, scv, decay, _, p1, chosen = min(feasible, key=selection_key)
+        chosen_entry = min(feasible, key=selection_key)
+    else:
+        pool = feasible or constructible
+        best_error = min(entry[3] for entry in pool)
+        tied = [entry for entry in pool if entry[3] <= best_error + 1e-9]
+        rho1 = [entry[5].autocorrelation(1) for entry in tied]
+        chosen_entry = next(
+            entry for entry, value in zip(tied, rho1) if value >= max(rho1) - 1e-9
+        )
+
+    achieved_i, scv, decay, _, p1, chosen = chosen_entry
     return FittedServiceProcess(
         map=chosen,
         mean=mean,
@@ -135,8 +129,8 @@ def _reference_fit(mean, index_of_dispersion, p95, dispersion_tolerance):
         scv=scv,
         decay=decay,
         branch_probability=p1,
-        candidates_considered=considered,
-        candidates_feasible=len(feasible),
+        candidates_considered=len(grid),
+        candidates_feasible=len(feasible) or 1,
     )
 
 
@@ -148,6 +142,7 @@ class TestClosedFormFitMatchesFullGrid:
         tolerance=st.sampled_from([0.2, 0.05, 1e-6]),
     )
     @example(mean=1.0, target_i=37.7, p95_factor=None, tolerance=1e-6)
+    @example(mean=1.0, target_i=50.95, p95_factor=None, tolerance=0.2)
     @example(mean=1e-4, target_i=1.01, p95_factor=3.0, tolerance=0.2)
     @example(mean=10.0, target_i=1000.0, p95_factor=1.0, tolerance=1e-6)
     @example(mean=0.01898465657370518, target_i=47.066675579240055,
@@ -162,6 +157,32 @@ class TestClosedFormFitMatchesFullGrid:
                 assert getattr(fit, field.name) == getattr(reference, field.name), field.name
         assert np.array_equal(fit.map.D0, reference.map.D0)
         assert np.array_equal(fit.map.D1, reference.map.D1)
+
+
+class TestFitChoiceIsMeanScaleInvariant:
+    """Recording service times in seconds or in milliseconds picks one candidate.
+
+    Covers the fits ranked by dispersion error: no p95 target, or nothing
+    feasible (tolerance 1e-6), where a p95 target scales with the mean.
+    """
+
+    @given(
+        target_i=st.floats(min_value=np.log10(1.3), max_value=np.log10(800.0)).map(
+            lambda e: 10.0**e
+        ),
+        p95_factor=st.none() | st.floats(min_value=0.2, max_value=20.0),
+        tolerance=st.sampled_from([0.2, 1e-6]),
+    )
+    @example(target_i=51.05, p95_factor=None, tolerance=0.2)
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_same_choice_for_every_mean(self, target_i, p95_factor, tolerance):
+        assume(p95_factor is None or tolerance == 1e-6)
+        choices = set()
+        for mean in (1e-4, 1e-2, 1.0, 100.0):
+            p95 = None if p95_factor is None else mean * p95_factor
+            fit = fit_map2_from_measurements(mean, target_i, p95, tolerance)
+            choices.add((fit.scv, fit.decay, fit.branch_probability))
+        assert len(choices) == 1, choices
 
 
 class TestPaperFitRule:
