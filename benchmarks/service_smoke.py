@@ -19,6 +19,9 @@ contract at every step:
   cycle, checkpoints and exits.  A resumed run completing the same total
   cycle count produces a checkpoint and forecast **byte-identical** to an
   uninterrupted run — crash recovery loses nothing and changes nothing.
+  Each station's ``base`` in the final checkpoint sits on the discard line
+  (``fit_horizon_windows`` below the oldest queued or future fit target):
+  the service keeps only the windows a fit can still read.
 
 Run from the repository root::
 
@@ -202,6 +205,20 @@ def main() -> int:
             "uninterrupted run"
         )
     print("  checkpoint and forecast bit-identical across drain + resume")
+
+    # Bounded state: each station keeps only the windows a queued or future
+    # fit can read, so its base sits on the discard line.
+    checkpoint = json.loads(straight_ckpt)
+    accumulators = checkpoint["accumulators"]
+    horizon = json.loads(config_path.read_text())["fit_horizon_windows"]
+    complete = min(a["max_end_ticks"] // a["window_ticks"] for a in accumulators.values())
+    line = max(0, min([*checkpoint["fit_queue"]["items"], complete]) - horizon)
+    bases = {name: a["base"] for name, a in accumulators.items()}
+    if line <= 0 or any(base != line for base in bases.values()):
+        raise SystemExit(
+            f"FAIL: station bases {bases} must equal the discard line {line} > 0"
+        )
+    print(f"  station bases {bases} equal the discard line")
 
     print("\nservice smoke: all phases passed")
     return 0

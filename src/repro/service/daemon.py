@@ -7,9 +7,9 @@ loop.  Each *cycle*:
    supervised worker (one forked worker serves every stage of the service
    until an attempt fails, see :func:`~repro.service.pipeline.run_stage`);
    the worker returns an exact integer delta
-   (:class:`~repro.service.streaming.WindowedTraceAccumulator` state) that
-   the daemon merges into its master accumulator — bit-identical to having
-   ingested the whole trace in one batch, RAM O(windows);
+   (:class:`~repro.service.streaming.WindowedTraceAccumulator` state of the
+   windows it touched) that the daemon merges into its master accumulator —
+   bit-identical to having ingested the whole trace in one batch;
 2. **fit** — once ``refit_windows`` new complete windows have accumulated
    on every station, a refit target is queued; a supervised worker
    estimates *(mean, I, p95)* over the sliding ``fit_horizon_windows``
@@ -22,7 +22,10 @@ loop.  Each *cycle*:
    service with an explicit, growing ``staleness_windows`` and flips the
    health to ``degraded``.  Per-stage circuit breakers stop hammering a
    failing stage and probe it again after a (cycle-denominated,
-   deterministic) backoff.
+   deterministic) backoff;
+5. **discard** — every station drops the windows no queued or future fit
+   can read, so state and checkpoint stay O(fit horizon + lookahead)
+   instead of growing with every window since tick 0.
 
 Determinism contract: given the same config, trace files and fault spec,
 the sequence of checkpoints is **bit-identical** — including across a
@@ -474,6 +477,12 @@ class WhatIfService:
             self.no_new_cycles = 0
         self._queue_refit_target()
         self._refit_and_solve()
+        # Every fit reads from its target minus the horizon, and targets
+        # only grow: nothing below this line is ever read again.
+        oldest_target = min([*self.fit_queue.items, self.complete_windows])
+        line = max(0, oldest_target - self.config.fit_horizon_windows)
+        for accumulator in self.accumulators.values():
+            accumulator.discard_before(line)
         if self.cycle % self.config.checkpoint_every == 0:
             self.write_checkpoint()
         self.write_health()
@@ -583,7 +592,9 @@ class WhatIfService:
         if not fit_breaker.allow(self.cycle):
             return
         window_end = int(self.fit_queue.pop())
-        start = max(0, window_end - self.config.fit_horizon_windows)
+        # A trace that starts after window 0 is fitted from its first window.
+        bases = [acc.base for acc in self.accumulators.values()]
+        start = max(window_end - self.config.fit_horizon_windows, *bases)
         self.invocations["fit"] += 1
         fit_payload = {
             "key": "service/fit",

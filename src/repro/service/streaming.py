@@ -14,7 +14,8 @@ module rebuilds the front of the pipeline around two primitives:
   produces on the whole trace, so the downstream
   :func:`repro.core.dispersion.estimate_index_of_dispersion` /
   moment / percentile estimates are bit-identical while RAM stays
-  O(windows), not O(events).
+  O(windows), not O(events) — and, with ``discard_before``, O(windows a
+  long-lived consumer still reads), not O(windows since tick 0).
 
 Exactness is by construction, not by accident: trace timestamps are integer
 *ticks* (``ticks_per_second`` of them per second, microseconds by default)
@@ -225,13 +226,15 @@ class WindowSnapshot:
 class WindowedTraceAccumulator:
     """Online windowed (busy, completions) statistics with exact merging.
 
-    All state is integer: per-window busy ticks and completion counts from
-    tick 0 onward, plus totals.  ``ingest`` folds in a chunk of trace
-    records, ``merge`` folds in another accumulator, and because ``int64``
-    addition is associative, *any* partition of a trace into chunks —
-    ingested in any grouping, merged in any order — reaches exactly the
-    state of one batch ingest.  ``state_dict``/``from_state`` round-trip the
-    state through JSON-safe integers for bit-identical checkpoint/resume.
+    All state is integer: busy ticks and completion counts of the windows
+    ``base`` onward, plus lifetime totals.  A fresh accumulator starts at its
+    first record's window; ``ingest`` folds in a chunk of trace records,
+    ``merge`` another accumulator, both extending the windows up or down as
+    needed, and because ``int64`` addition is associative, *any* partition
+    of a trace into chunks — ingested in any grouping, merged in any order —
+    reaches exactly the state of one batch ingest.  ``state_dict``/
+    ``from_state`` round-trip the state through JSON-safe integers for
+    bit-identical checkpoint/resume.
     """
 
     def __init__(self, window_ticks: int, ticks_per_second: int) -> None:
@@ -243,8 +246,9 @@ class WindowedTraceAccumulator:
             raise ValueError("ticks_per_second must be >= 1")
         self.window_ticks = window_ticks
         self.ticks_per_second = ticks_per_second
-        self._busy = np.zeros(0, dtype=np.int64)
-        self._completions = np.zeros(0, dtype=np.int64)
+        self.base = 0
+        # Row 0: busy ticks, row 1: completions, of windows base, base + 1, ...
+        self._windows = np.zeros((2, 0), dtype=np.int64)
         self.events = 0
         self.max_end_ticks = 0
 
@@ -256,8 +260,8 @@ class WindowedTraceAccumulator:
 
     @property
     def num_windows(self) -> int:
-        """Windows touched so far (index 0 through the last with any mass)."""
-        return int(self._busy.size)
+        """Windows stored (``base`` through the last with any mass)."""
+        return int(self._windows.shape[1])
 
     @property
     def complete_windows(self) -> int:
@@ -271,20 +275,24 @@ class WindowedTraceAccumulator:
 
     @property
     def total_busy_ticks(self) -> int:
-        return int(self._busy.sum())
+        """Busy ticks of the stored windows."""
+        return int(self._windows[0].sum())
 
     @property
     def total_completions(self) -> int:
-        return int(self._completions.sum())
+        """Completions of the stored windows."""
+        return int(self._windows[1].sum())
 
     # ------------------------------------------------------------------
-    def _grow(self, num_windows: int) -> None:
-        if num_windows > self._busy.size:
-            pad = num_windows - self._busy.size
-            self._busy = np.concatenate([self._busy, np.zeros(pad, dtype=np.int64)])
-            self._completions = np.concatenate(
-                [self._completions, np.zeros(pad, dtype=np.int64)]
-            )
+    def _cover(self, lo: int, hi: int) -> None:
+        """Extend the stored windows to cover ``[lo, hi)``."""
+        size = self.num_windows
+        if size:
+            lo, hi = min(lo, self.base), max(hi, self.base + size)
+        if (lo, hi) != (self.base, self.base + size):
+            windows = np.zeros((2, hi - lo), dtype=np.int64)
+            windows[:, self.base - lo : self.base - lo + size] = self._windows
+            self.base, self._windows = lo, windows
 
     def ingest(self, records: np.ndarray) -> int:
         """Fold one chunk of ``(start, duration)`` records into the state.
@@ -303,14 +311,19 @@ class WindowedTraceAccumulator:
             raise ValueError("trace chunk must hold integer ticks")
         starts = records[:, 0].astype(np.int64, copy=False)
         durations = records[:, 1].astype(np.int64, copy=False)
-        if int(starts.min()) < 0 or int(durations.min()) < 0:
+        first_start = int(starts.min())
+        if first_start < 0 or int(durations.min()) < 0:
             raise ValueError("trace ticks must be non-negative")
         ends = starts + durations
         max_end = int(ends.max())
-        needed = int(max(max_end // self.window_ticks, (max_end - 1) // self.window_ticks)) + 1
-        self._grow(needed)
-        bin_intervals(starts, ends, self.window_ticks, needed, out=self._busy)
-        bin_points(ends, self.window_ticks, needed, out=self._completions)
+        # A record touches the windows of its start through its completion.
+        self._cover(first_start // self.window_ticks, max_end // self.window_ticks + 1)
+        # Bin relative to ``base`` so window ``base`` is index 0 of the arrays.
+        shift = self.base * self.window_ticks
+        starts, ends = starts - shift, ends - shift
+        size = self.num_windows
+        bin_intervals(starts, ends, self.window_ticks, size, out=self._windows[0])
+        bin_points(ends, self.window_ticks, size, out=self._windows[1])
         self.events += int(starts.size)
         self.max_end_ticks = max(self.max_end_ticks, max_end)
         return int(starts.size)
@@ -328,29 +341,49 @@ class WindowedTraceAccumulator:
                 f"{self.window_ticks}t/{self.ticks_per_second}Hz vs "
                 f"{other.window_ticks}t/{other.ticks_per_second}Hz"
             )
-        self._grow(other._busy.size)
-        self._busy[: other._busy.size] += other._busy
-        self._completions[: other._completions.size] += other._completions
+        if other.num_windows:
+            self._cover(other.base, other.base + other.num_windows)
+            offset = other.base - self.base
+            self._windows[:, offset : offset + other.num_windows] += other._windows
         self.events += other.events
         self.max_end_ticks = max(self.max_end_ticks, other.max_end_ticks)
 
+    def discard_before(self, window: int) -> None:
+        """Drop the stored windows below ``window``; ``base`` rises to it.
+
+        ``events`` and ``max_end_ticks`` stay lifetime values, and a later
+        ingest or merge reaching below ``base`` extends the windows down.
+        """
+        drop = int(window) - self.base
+        if drop > 0 and self.num_windows:
+            self._windows = self._windows[:, drop:].copy()
+            self.base = int(window)
+
     # ------------------------------------------------------------------
     def snapshot(
-        self, start_window: int = 0, end_window: int | None = None
+        self, start_window: int | None = None, end_window: int | None = None
     ) -> WindowSnapshot:
         """Float estimator view of windows ``[start_window, end_window)``.
 
-        Raises :class:`ValueError` when a window's busy time exceeds the
-        window length — proof that trace records overlapped, which would
-        fabricate utilisations above 1 and poison the dispersion estimate.
+        A pure read, defaulting to the stored windows; windows past them read
+        as zero.  Raises :class:`ValueError` when ``start_window < base``, and
+        when a window's busy time exceeds the window length — proof that
+        trace records overlapped, which would fabricate utilisations above 1
+        and poison the dispersion estimate.
         """
+        if start_window is None:
+            start_window = self.base
         if end_window is None:
-            end_window = self.num_windows
-        if start_window < 0 or end_window < start_window:
-            raise ValueError("invalid window slice")
-        self._grow(end_window)
-        busy = self._busy[start_window:end_window].copy()
-        completions = self._completions[start_window:end_window].copy()
+            end_window = self.base + self.num_windows
+        if start_window < self.base or end_window < start_window:
+            raise ValueError(
+                f"invalid window slice [{start_window}, {end_window}) of the "
+                f"windows from base {self.base} on"
+            )
+        counts = np.zeros((2, end_window - start_window), dtype=np.int64)
+        stored = self._windows[:, start_window - self.base : end_window - self.base]
+        counts[:, : stored.shape[1]] = stored
+        busy, completions = counts
         overfull = busy > self.window_ticks
         if np.any(overfull):
             worst = int(np.argmax(busy))
@@ -377,17 +410,21 @@ class WindowedTraceAccumulator:
             "ticks_per_second": self.ticks_per_second,
             "events": self.events,
             "max_end_ticks": self.max_end_ticks,
-            "busy": [int(v) for v in self._busy],
-            "completions": [int(v) for v in self._completions],
+            "base": self.base,
+            "busy": self._windows[0].tolist(),
+            "completions": self._windows[1].tolist(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "WindowedTraceAccumulator":
+        """Rebuild from :meth:`state_dict`; a state without ``base`` starts at 0."""
         accumulator = cls(state["window_ticks"], state["ticks_per_second"])
-        accumulator._busy = np.asarray(state["busy"], dtype=np.int64)
-        accumulator._completions = np.asarray(state["completions"], dtype=np.int64)
-        if accumulator._busy.shape != accumulator._completions.shape:
+        accumulator.base = int(state.get("base", 0))
+        busy = np.asarray(state["busy"], dtype=np.int64)
+        completions = np.asarray(state["completions"], dtype=np.int64)
+        if busy.shape != completions.shape:
             raise ValueError("corrupt accumulator state: busy/completions differ in length")
+        accumulator._windows = np.stack([busy, completions])
         accumulator.events = int(state["events"])
         accumulator.max_end_ticks = int(state["max_end_ticks"])
         return accumulator

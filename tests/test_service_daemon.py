@@ -1,10 +1,13 @@
 """The self-healing daemon: degradation, breakers, checkpoints, CLI contract."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.core.dispersion import estimate_index_of_dispersion
+from repro.core.percentiles import estimate_service_percentile
 from repro.experiments import cli
 from repro.service import (
     BoundedWindowQueue,
@@ -14,7 +17,10 @@ from repro.service import (
     ModelRegistry,
     ServiceConfig,
     WhatIfService,
+    WindowedTraceAccumulator,
+    read_trace_chunk,
     synthesize_service_trace,
+    write_trace_records,
 )
 
 
@@ -287,6 +293,109 @@ class TestDaemonLoop:
         straight_forecast = max(straight_dir.glob("forecast-*.json"))
         resumed_forecast = max(resumed_dir.glob("forecast-*.json"))
         assert straight_forecast.read_bytes() == resumed_forecast.read_bytes()
+
+    def test_no_fit_loses_a_window(self, trace_dir, tmp_path):
+        """Discarding old windows never changes what a fit reads."""
+        service = _service(trace_dir, tmp_path / "state")
+        models = []
+        while True:
+            before = service.events_total
+            service.run_cycle()
+            if service.last_good is not None and service.last_good.cycle == service.cycle:
+                models.append(service.last_good.model)
+            if service.events_total == before:
+                break
+        assert all(acc.base > 0 for acc in service.accumulators.values())
+        assert len(models) >= 5
+        config = service.config
+        for name in ("front", "db"):
+            records, _ = read_trace_chunk(config.traces[name], 0, 10**9)
+            whole = WindowedTraceAccumulator(config.window_ticks, config.ticks_per_second)
+            whole.ingest(records)
+            assert whole.base == 0
+            for model in models:
+                snap = whole.snapshot(model["window_start"], model["window_end"])
+                dispersion = estimate_index_of_dispersion(
+                    snap.utilizations, snap.completions, snap.period, **config.estimator
+                )
+                p95 = estimate_service_percentile(
+                    snap.utilizations, snap.completions, snap.period
+                )
+                station = model["stations"][name]
+                assert (station["mean_service"], station["dispersion"], station["p95"]) == (
+                    snap.mean_service_time(),
+                    float(dispersion.index_of_dispersion),
+                    float(p95),
+                )
+
+    def test_drain_after_discard_resumes_bit_identically(self, trace_dir, tmp_path):
+        straight_dir = tmp_path / "straight"
+        resumed_dir = tmp_path / "resumed"
+        straight = _service(trace_dir, straight_dir)
+        straight.run(cycles=5)
+
+        first = _service(trace_dir, resumed_dir)
+        first.run(cycles=3)  # a drain: finish the cycle, checkpoint, stop
+        drained = json.loads((resumed_dir / "checkpoint.json").read_text())
+        assert all(acc["base"] > 0 for acc in drained["accumulators"].values())
+        second = _service(trace_dir, resumed_dir)
+        assert second.cycle == 3
+        second.run(cycles=2)
+
+        assert (straight_dir / "checkpoint.json").read_bytes() == (
+            resumed_dir / "checkpoint.json"
+        ).read_bytes()
+        straight_forecast = max(straight_dir.glob("forecast-*.json"))
+        resumed_forecast = max(resumed_dir.glob("forecast-*.json"))
+        assert straight_forecast.read_bytes() == resumed_forecast.read_bytes()
+
+    def test_resumes_checkpoint_without_base(self, trace_dir, tmp_path):
+        """A checkpoint holding every window from 0 and no ``base`` resumes."""
+        straight_dir = tmp_path / "straight"
+        straight = _service(trace_dir, straight_dir)
+        straight.run(cycles=3)
+        legacy_dir = tmp_path / "legacy"
+        shutil.copytree(straight_dir, legacy_dir)
+        payload = json.loads((legacy_dir / "checkpoint.json").read_text())
+        config = straight.config
+        for name, state in payload["accumulators"].items():
+            assert state["base"] > 0
+            records, _ = read_trace_chunk(config.traces[name], 0, payload["offsets"][name])
+            whole = WindowedTraceAccumulator(config.window_ticks, config.ticks_per_second)
+            whole.ingest(records)
+            legacy = whole.state_dict()
+            assert legacy.pop("base") == 0
+            assert (legacy["events"], legacy["max_end_ticks"]) == (
+                state["events"],
+                state["max_end_ticks"],
+            )
+            payload["accumulators"][name] = legacy
+        (legacy_dir / "checkpoint.json").write_text(json.dumps(payload, indent=2))
+
+        straight = _service(trace_dir, straight_dir)
+        straight.run(cycles=1)
+        resumed = _service(trace_dir, legacy_dir)
+        assert resumed.accumulators["front"].base == 0
+        resumed.run(cycles=1)
+        assert (straight_dir / "checkpoint.json").read_bytes() == (
+            legacy_dir / "checkpoint.json"
+        ).read_bytes()
+        assert max(straight_dir.glob("forecast-*.json")).read_bytes() == max(
+            legacy_dir.glob("forecast-*.json")
+        ).read_bytes()
+
+    def test_trace_starting_late_is_fitted_from_its_first_window(self, tmp_path):
+        directory = tmp_path / "late"
+        directory.mkdir()
+        _make_traces(directory, events=8000)
+        db = directory / "db.trace"
+        records, _ = read_trace_chunk(db, 0, 10**9)
+        write_trace_records(db, records[:, 0] + 5_000_000, records[:, 1])  # 5 windows late
+        service = _service(directory, tmp_path / "state")
+        service.run_cycle()
+        assert (service.accumulators["front"].base, service.accumulators["db"].base) == (0, 5)
+        assert service.status == "healthy"
+        assert service.last_good.model["window_start"] == 5
 
     def test_checkpoint_refuses_mismatched_config(self, trace_dir, tmp_path):
         state = tmp_path / "state"

@@ -91,34 +91,71 @@ def trace_and_partition(draw):
     return window, starts, durations, cuts
 
 
-@given(trace_and_partition())
+@st.composite
+def shuffled_merge_with_discard(draw):
+    """Chunks in a shuffled merge order, with a discard after the first few.
+
+    The discard line lies at or below every window of the chunks merged
+    after it, and below the end of the windows merged before it, so the
+    accumulator never empties and no later merge reaches below the line.
+    """
+    window, starts, durations, cuts = draw(trace_and_partition())
+    bounds = [0, *cuts, len(starts)]
+    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    chunks = draw(st.permutations(chunks))
+    merged_first = draw(st.integers(0, len(chunks)))
+
+    def extent(part):
+        lo = min(starts[i] for a, b in part for i in range(a, b)) // window
+        hi = max(starts[i] + durations[i] for a, b in part for i in range(a, b)) // window
+        return lo, hi + 1
+
+    caps = []
+    if merged_first:
+        caps.append(extent(chunks[:merged_first])[1] - 1)
+    if merged_first < len(chunks):
+        caps.append(extent(chunks[merged_first:])[0])
+    line = draw(st.integers(0, min(caps)))
+    return window, starts, durations, chunks, merged_first, line
+
+
+@given(shuffled_merge_with_discard())
 # Chunk edges exactly on window boundaries: events of width W starting at
 # multiples of W, cut between every pair.
-@example((5, [0, 5, 10, 15], [5, 5, 5, 5], [1, 2, 3]))
+@example((5, [0, 5, 10, 15], [5, 5, 5, 5], [(0, 1), (1, 2), (2, 3), (3, 4)], 4, 0))
+# A later-merged chunk starts below the accumulator's base: the chunks
+# arrive last-first, so every merge extends the arrays down.
+@example((5, [0, 20, 40], [3, 3, 3], [(2, 3), (1, 2), (0, 1)], 3, 0))
+# Discard to the last stored window, then merge a chunk above it.
+@example((5, [0, 20, 40], [3, 3, 3], [(0, 1), (1, 2), (2, 3)], 2, 4))
 @settings(max_examples=200, suppress_health_check=[HealthCheck.too_slow], deadline=None)
 def test_chunked_merge_exactly_equals_batch(case):
-    window, starts, durations, cuts = case
+    window, starts, durations, chunks, merged_first, line = case
     records = _records(starts, durations)
     batch = WindowedTraceAccumulator(window, 1000)
     batch.ingest(records)
+    # Conservation: every busy tick and completion lands in some window.
+    assert batch.total_busy_ticks == int(np.sum(durations))
+    assert batch.total_completions == len(starts)
+    batch.discard_before(line)
 
     merged = WindowedTraceAccumulator(window, 1000)
-    bounds = [0, *cuts, len(starts)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo >= hi:
-            continue
+    for position, (lo, hi) in enumerate(chunks):
+        if position == merged_first:
+            merged.discard_before(line)
         delta = WindowedTraceAccumulator(window, 1000)
         delta.ingest(records[lo:hi])
+        assert delta.base == min(starts[lo:hi]) // window
         merged.merge(delta)
+    if merged_first == len(chunks):
+        merged.discard_before(line)
 
     assert merged.state_dict() == batch.state_dict()
+    assert batch.base == max(line, min(starts) // window)
     snap_a, snap_b = batch.snapshot(), merged.snapshot()
     # Float views are pure functions of the integer state: bit-identical.
     assert np.array_equal(snap_a.utilizations, snap_b.utilizations)
     assert np.array_equal(snap_a.completions, snap_b.completions)
-    # Conservation: every busy tick and completion lands in some window.
-    assert batch.total_busy_ticks == int(np.sum(durations))
-    assert batch.total_completions == len(starts)
 
 
 def test_direct_chunked_ingest_equals_batch(tmp_path):
@@ -206,6 +243,34 @@ class TestAccumulator:
         clone = WindowedTraceAccumulator.from_state(acc.state_dict())
         assert clone.state_dict() == acc.state_dict()
         assert np.array_equal(clone.snapshot().utilizations, acc.snapshot().utilizations)
+        # A state written before ``base`` existed holds windows from 0.
+        legacy = acc.state_dict()
+        assert legacy.pop("base") == 0
+        assert WindowedTraceAccumulator.from_state(legacy).state_dict() == acc.state_dict()
+
+    def test_fresh_accumulator_starts_at_first_record_window(self):
+        acc = WindowedTraceAccumulator(10, 1000)
+        acc.ingest(_records([47], [20]))  # windows 4..6
+        assert (acc.base, acc.num_windows) == (4, 3)
+        acc.ingest(_records([5], [3]))  # extends down to window 0
+        assert (acc.base, acc.num_windows) == (0, 7)
+        assert acc.snapshot().busy_ticks.tolist() == [3, 0, 0, 0, 3, 10, 7]
+
+    def test_snapshot_is_a_pure_read(self):
+        acc = WindowedTraceAccumulator(10, 1000)
+        acc.ingest(_records([0, 12, 25], [4, 9, 30]))
+        before = acc.state_dict()
+        snap = acc.snapshot(3, 9)  # past the last stored window: zero-padded
+        assert snap.busy_ticks.tolist() == [10, 10, 5, 0, 0, 0]
+        assert snap.completion_counts.tolist() == [0, 0, 1, 0, 0, 0]
+        assert acc.state_dict() == before
+        acc.discard_before(2)
+        assert acc.base == 2 and acc.num_windows == 4
+        assert acc.snapshot(2, 4).busy_ticks.tolist() == [6, 10]
+        with pytest.raises(ValueError, match="base 2"):
+            acc.snapshot(1, 4)
+        acc.discard_before(1)  # below base: a no-op
+        assert acc.base == 2
 
     def test_complete_windows_excludes_filling_tail(self):
         acc = WindowedTraceAccumulator(10, 1000)
